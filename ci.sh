@@ -25,6 +25,12 @@ fi
 echo "== build (release) =="
 cargo build --release
 
+echo "== build (end-to-end benchmark) =="
+# e2ebench is its own cargo package on the public API of core/gpu/ir/
+# models; building it here makes an API change that breaks the benchmark
+# fail CI. Its output goes under target/ so the package dir stays clean.
+cargo build --release --manifest-path e2ebench/Cargo.toml --target-dir target/e2ebench
+
 echo "== tier-1 tests =="
 cargo test -q
 

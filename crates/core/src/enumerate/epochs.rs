@@ -60,7 +60,7 @@ impl Partition {
 
 /// Signature under which kernels are interchangeable.
 fn class_key(u: &Unit) -> String {
-    u.kernel.label()
+    u.label().to_string()
 }
 
 /// Partitions topologically-sorted `units` into super-epochs of roughly
@@ -205,9 +205,11 @@ mod tests {
 
     fn unit(i: u32, deps: Vec<usize>, flops: f64, shape_n: u64) -> Unit {
         let shape = GemmShape::new(8, 64, shape_n);
+        let kernel = KernelDesc::Gemm { shape, lib: astra_gpu::GemmLibrary::CublasLike };
         Unit {
             id: UnitId::Node(i),
-            kernel: KernelDesc::Gemm { shape, lib: astra_gpu::GemmLibrary::CublasLike },
+            kernel,
+            label: kernel.label().into(),
             deps,
             gemm_shape: Some(shape),
             pre_copy_bytes: 0.0,

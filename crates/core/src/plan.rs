@@ -58,6 +58,9 @@ pub struct Unit {
     pub id: UnitId,
     /// The kernel to launch.
     pub kernel: KernelDesc,
+    /// `kernel.label()`, interned when the unit is built and re-interned by
+    /// [`bind_libs`] when it rebinds the kernel (see [`Unit::label`]).
+    pub(crate) label: Arc<str>,
     /// Indices (into the unit vector) of units this one depends on.
     pub deps: Vec<usize>,
     /// GEMM shape, when the unit is a (fused) matmul.
@@ -85,6 +88,30 @@ pub struct Unit {
     /// synthetic buffer above [`SYNTHETIC_BUF_BASE`] so the partial-sum
     /// dataflow is still visible to the verifier.
     pub writes: Vec<BufId>,
+}
+
+impl Unit {
+    /// The kernel's default span label, interned when the unit is built
+    /// (units of one build with equal labels share one allocation): every
+    /// launch of this unit reuses it, so emission never formats a label.
+    /// Only this crate's builders set it; a unit whose `kernel` is edited
+    /// afterwards must go back through [`bind_libs`] (or be rebuilt) before
+    /// emission, or the label goes stale.
+    pub fn label(&self) -> &Arc<str> {
+        &self.label
+    }
+}
+
+/// Interns kernel labels for one unit build: units whose kernels share a
+/// label share one allocation.
+#[derive(Default)]
+struct LabelTable(HashMap<String, Arc<str>>);
+
+impl LabelTable {
+    /// `kernel.label()`, shared with every earlier kernel of the same label.
+    fn intern(&mut self, kernel: &KernelDesc) -> Arc<str> {
+        Arc::clone(self.0.entry(kernel.label()).or_insert_with_key(|l| Arc::from(l.as_str())))
+    }
 }
 
 /// First synthetic buffer id: unit outputs that never materialize a graph
@@ -317,6 +344,7 @@ fn build_units_with(
     let mut units: Vec<Unit> = Vec::new();
     let mut unit_of_tensor: HashMap<u32, usize> = HashMap::new(); // tensor id -> unit idx
     let mut members_of_unit: Vec<Vec<NodeId>> = Vec::new();
+    let mut labels = LabelTable::default();
 
     let push_unit = |units: &mut Vec<Unit>,
                          members_of_unit: &mut Vec<Vec<NodeId>>,
@@ -371,6 +399,7 @@ fn build_units_with(
                     Unit {
                         id: UnitId::Block { set: si as u32, rb: rb as u32, cb: cb as u32 },
                         kernel,
+                        label: labels.intern(&kernel),
                         deps: Vec::new(),
                         gemm_shape: Some(shape),
                         pre_copy_bytes: 0.0,
@@ -418,6 +447,7 @@ fn build_units_with(
                                 idx: (k - 1) as u32,
                             },
                             kernel,
+                            label: labels.intern(&kernel),
                             deps: vec![acc, blk],
                             gemm_shape: None,
                             pre_copy_bytes: 0.0,
@@ -469,6 +499,7 @@ fn build_units_with(
             Unit {
                 id: UnitId::Chain(ci as u32),
                 kernel: chain.kernel,
+                label: labels.intern(&chain.kernel),
                 deps: Vec::new(),
                 gemm_shape: None,
                 pre_copy_bytes: 0.0,
@@ -508,6 +539,7 @@ fn build_units_with(
             Unit {
                 id: UnitId::Node(i as u32),
                 kernel,
+                label: labels.intern(&kernel),
                 deps: Vec::new(),
                 gemm_shape,
                 pre_copy_bytes: 0.0,
@@ -890,9 +922,10 @@ impl PlanCache {
     }
 }
 
-/// Rebinds every GEMM unit's library to `cfg`'s per-shape choice. Returns
-/// a handle to the same allocation (no copy) when every library already
-/// matches — in particular whenever `cfg.libs` is empty.
+/// Rebinds every GEMM unit's library to `cfg`'s per-shape choice, and
+/// re-interns the label of every unit it rebinds. Returns a handle to the
+/// same allocation (no copy) when every library already matches — in
+/// particular whenever `cfg.libs` is empty.
 pub fn bind_libs(units: &Arc<[Unit]>, cfg: &ExecConfig) -> Arc<[Unit]> {
     let bound = |u: &Unit| match (u.gemm_shape, &u.kernel) {
         (Some(shape), KernelDesc::Gemm { lib, .. }) => *lib == cfg.lib_for(shape),
@@ -901,12 +934,17 @@ pub fn bind_libs(units: &Arc<[Unit]>, cfg: &ExecConfig) -> Arc<[Unit]> {
     if units.iter().all(bound) {
         return Arc::clone(units);
     }
+    let mut labels = LabelTable::default();
     units
         .iter()
         .map(|u| {
             let mut u = u.clone();
             if let (Some(shape), KernelDesc::Gemm { lib, .. }) = (u.gemm_shape, &mut u.kernel) {
-                *lib = cfg.lib_for(shape);
+                let want = cfg.lib_for(shape);
+                if *lib != want {
+                    *lib = want;
+                    u.label = labels.intern(&u.kernel);
+                }
             }
             u
         })
@@ -1029,17 +1067,14 @@ pub fn emit_schedule(
     let mut sched = Schedule::new(num_streams);
     let mut probes = Probes::default();
 
-    let stream_of = |u: &Unit| -> usize {
-        cfg.streams.get(&u.id).copied().unwrap_or(0).min(num_streams - 1)
-    };
+    let stream_of = unit_streams(cfg, units, num_streams);
 
     // Which units need completion events (consumer on a different stream).
     let mut needs_event = vec![false; units.len()];
     if num_streams > 1 {
-        for u in units {
-            let s = stream_of(u);
+        for (i, u) in units.iter().enumerate() {
             for &d in &u.deps {
-                if stream_of(&units[d]) != s {
+                if stream_of[d] != stream_of[i] {
                     needs_event[d] = true;
                 }
             }
@@ -1047,34 +1082,31 @@ pub fn emit_schedule(
     }
 
     let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
-    let mut seen_sets: HashSet<usize> = HashSet::new();
+    // Per fusion set (indexed by set): whether its first block was probed
+    // yet, and how many blocks it has.
+    let num_sets = units.iter().filter_map(|u| u.set_idx).max().map_or(0, |m| m + 1);
+    let mut seen_sets = vec![false; num_sets];
     let mut seen_shapes: HashSet<GemmShape> = HashSet::new();
-    let mut blocks_per_set: HashMap<usize, usize> = HashMap::new();
+    let mut blocks_per_set = vec![0usize; num_sets];
     for u in units {
         if let (Some(si), UnitId::Block { .. }) = (u.set_idx, u.id) {
-            *blocks_per_set.entry(si).or_insert(0) += 1;
+            blocks_per_set[si] += 1;
         }
     }
 
     let mut emit_unit = |sched: &mut Schedule, probes: &mut Probes, idx: usize, u: &Unit| {
-        let stream = StreamId(stream_of(u));
+        let stream = StreamId(stream_of[idx]);
         let waits: Vec<EventId> = u
             .deps
             .iter()
-            .filter_map(|&d| {
-                if stream_of(&units[d]) != stream.0 {
-                    done_event[d]
-                } else {
-                    None
-                }
-            })
+            .filter_map(|&d| if stream_of[d] != stream.0 { done_event[d] } else { None })
             .collect();
         // Profiling probes: first block of each set, first GEMM per shape.
         // The region opens before any gather copy so that chunk metrics
         // charge the copies a denied allocation forces.
         let probe_set = probe.sets
             && matches!(u.id, UnitId::Block { .. })
-            && u.set_idx.is_some_and(|si| !seen_sets.contains(&si));
+            && u.set_idx.is_some_and(|si| !seen_sets[si]);
         let probe_shape = probe.shapes && u.gemm_shape.is_some_and(|s| !seen_shapes.contains(&s));
         let start_ev = if probe_set || probe_shape {
             probes.probe_records += 1;
@@ -1083,20 +1115,7 @@ pub fn emit_schedule(
             None
         };
 
-        // Tag every launch with its unit index: the static verifier reads
-        // the tags back to attach the unit's buffer footprint to the
-        // command (the gather copy touches the same operands).
-        if u.pre_copy_bytes > 0.0 {
-            let c = sched.launch_after(
-                stream,
-                KernelDesc::MemCopy { bytes: u.pre_copy_bytes },
-                waits.clone(),
-            );
-            sched.set_tag(c, idx as u32);
-        }
-        let k =
-            sched.launch_after(stream, u.kernel, if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits });
-        sched.set_tag(k, idx as u32);
+        emit_unit_launches(sched, stream, idx, u, waits);
 
         if needs_event[idx] {
             done_event[idx] = Some(sched.record(stream));
@@ -1109,8 +1128,8 @@ pub fn emit_schedule(
             done_event[idx] = Some(end);
             if probe_set {
                 let si = u.set_idx.expect("probe_set implies set");
-                seen_sets.insert(si);
-                probes.set_regions.push((si, blocks_per_set[&si], start, end));
+                seen_sets[si] = true;
+                probes.set_regions.push((si, blocks_per_set[si], start, end));
             }
             if probe_shape {
                 let shape = u.gemm_shape.expect("probe_shape implies gemm");
@@ -1139,17 +1158,15 @@ pub fn emit_schedule(
                     probes.se_starts.insert(sei, ev);
                 }
                 for (ei, epoch) in se.epochs.iter().enumerate() {
-                    let mut streams_used: HashSet<usize> = HashSet::new();
+                    let mut streams_used = vec![false; num_streams];
                     for &ui in &epoch.units {
-                        streams_used.insert(stream_of(&units[ui]));
+                        streams_used[stream_of[ui]] = true;
                         emit_unit(&mut sched, &mut probes, ui, &units[ui]);
                         sched.mark_boundary();
                     }
                     if probe.epochs.contains(&(sei, ei)) {
                         let mut ends = Vec::new();
-                        let mut su: Vec<usize> = streams_used.into_iter().collect();
-                        su.sort_unstable();
-                        for s in su {
+                        for s in (0..num_streams).filter(|&s| streams_used[s]) {
                             ends.push(sched.record(StreamId(s)));
                             probes.probe_records += 1;
                         }
@@ -1166,6 +1183,35 @@ pub fn emit_schedule(
 
     let _ = ctx;
     (sched, probes)
+}
+
+/// Emits unit `idx`'s launches on `stream`: the gather copy its fused
+/// operands need, if any, then its kernel under the unit's interned label.
+/// The first launch takes `waits`. Both are tagged with the unit index: the
+/// static verifier reads the tags back to attach the unit's buffer
+/// footprint to the command (the gather copy touches the same operands).
+fn emit_unit_launches(
+    sched: &mut Schedule,
+    stream: StreamId,
+    idx: usize,
+    u: &Unit,
+    waits: Vec<EventId>,
+) {
+    let waits = if u.pre_copy_bytes > 0.0 {
+        let c = sched.launch_after(stream, KernelDesc::MemCopy { bytes: u.pre_copy_bytes }, waits);
+        sched.set_tag(c, idx as u32);
+        Vec::new()
+    } else {
+        waits
+    };
+    let k = sched.launch_interned(stream, u.kernel, waits, Arc::clone(&u.label));
+    sched.set_tag(k, idx as u32);
+}
+
+/// Each unit's stream within a device's block of `per` streams (units
+/// `cfg` does not bind run on stream 0), resolved once per emission.
+fn unit_streams(cfg: &ExecConfig, units: &[Unit], per: usize) -> Vec<usize> {
+    units.iter().map(|u| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1)).collect()
 }
 
 /// Stream → device map giving device `d` the stream block
@@ -1244,14 +1290,13 @@ fn emit_data_parallel(
     let per = cfg.num_streams.max(1);
     let total: u64 = shares.iter().map(|&s| u64::from(s.max(1))).sum();
     let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
-    let stream_of = |u: &Unit| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1);
+    let stream_of = unit_streams(cfg, units, per);
 
     let mut needs_event = vec![false; units.len()];
     if per > 1 {
-        for u in units {
-            let s = stream_of(u);
+        for (i, u) in units.iter().enumerate() {
             for &d in &u.deps {
-                if stream_of(&units[d]) != s {
+                if stream_of[d] != stream_of[i] {
                     needs_event[d] = true;
                 }
             }
@@ -1262,31 +1307,26 @@ fn emit_data_parallel(
     for (i, u) in units.iter().enumerate() {
         for dev in 0..ndev {
             let num = u64::from(shares[dev].max(1));
-            let stream = StreamId(dev * per + stream_of(u));
+            let stream = StreamId(dev * per + stream_of[i]);
             let waits: Vec<EventId> = u
                 .deps
                 .iter()
-                .filter_map(|&d| {
-                    if stream_of(&units[d]) != stream_of(u) {
-                        done[dev][d]
-                    } else {
-                        None
-                    }
-                })
+                .filter_map(|&d| if stream_of[d] != stream_of[i] { done[dev][d] } else { None })
                 .collect();
-            if u.pre_copy_bytes > 0.0 {
+            // Kernels are scaled to the device's batch share, so their
+            // labels differ from the unit's and are formatted per launch.
+            let waits = if u.pre_copy_bytes > 0.0 {
                 let c = sched.launch_after(
                     stream,
                     KernelDesc::MemCopy { bytes: u.pre_copy_bytes * num as f64 / total as f64 },
-                    waits.clone(),
+                    waits,
                 );
                 sched.set_tag(c, i as u32);
-            }
-            let k = sched.launch_after(
-                stream,
-                scale_kernel(&u.kernel, num, total),
-                if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits },
-            );
+                Vec::new()
+            } else {
+                waits
+            };
+            let k = sched.launch_after(stream, scale_kernel(&u.kernel, num, total), waits);
             sched.set_tag(k, i as u32);
             if needs_event[i] {
                 done[dev][i] = Some(sched.record(stream));
@@ -1320,7 +1360,7 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let per = cfg.num_streams.max(1);
     let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
     let dev_of = |i: usize| cuts.iter().take_while(|&&c| c <= i).count();
-    let stream_of = |u: &Unit| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1);
+    let stream_of = unit_streams(cfg, units, per);
 
     // A unit needs a completion event when any consumer runs on a different
     // physical stream: another logical stream of the same device, or any
@@ -1328,7 +1368,7 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let mut needs_event = vec![false; units.len()];
     for (i, u) in units.iter().enumerate() {
         for &d in &u.deps {
-            if dev_of(d) != dev_of(i) || stream_of(&units[d]) != stream_of(u) {
+            if dev_of(d) != dev_of(i) || stream_of[d] != stream_of[i] {
                 needs_event[d] = true;
             }
         }
@@ -1339,12 +1379,12 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let mut shipped: HashMap<(usize, usize), EventId> = HashMap::new();
     for (i, u) in units.iter().enumerate() {
         let du = dev_of(i);
-        let stream = StreamId(du * per + stream_of(u));
+        let stream = StreamId(du * per + stream_of[i]);
         let mut waits: Vec<EventId> = Vec::new();
         for &d in &u.deps {
             let dd = dev_of(d);
             if dd == du {
-                if stream_of(&units[d]) != stream_of(u) {
+                if stream_of[d] != stream_of[i] {
                     if let Some(e) = done[d] {
                         waits.push(e);
                     }
@@ -1360,20 +1400,7 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
                 waits.push(e);
             }
         }
-        if u.pre_copy_bytes > 0.0 {
-            let c = sched.launch_after(
-                stream,
-                KernelDesc::MemCopy { bytes: u.pre_copy_bytes },
-                waits.clone(),
-            );
-            sched.set_tag(c, i as u32);
-        }
-        let k = sched.launch_after(
-            stream,
-            u.kernel,
-            if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits },
-        );
-        sched.set_tag(k, i as u32);
+        emit_unit_launches(&mut sched, stream, i, u, waits);
         if needs_event[i] {
             done[i] = Some(sched.record(stream));
         }

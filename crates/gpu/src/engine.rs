@@ -165,6 +165,58 @@ enum ItemKind {
     AllReduce { id: u32, bytes: u64, cmd_idx: usize },
 }
 
+impl ItemKind {
+    /// The command a queued item was dispatched from, if it names one.
+    fn source(&self) -> Option<(usize, SourceKind)> {
+        match *self {
+            ItemKind::Kernel { cmd_idx, .. } => Some((cmd_idx, SourceKind::Launch)),
+            ItemKind::Transfer { cmd_idx, .. } => Some((cmd_idx, SourceKind::Transfer)),
+            ItemKind::AllReduce { cmd_idx, .. } => Some((cmd_idx, SourceKind::AllReduce)),
+            ItemKind::Record { .. } | ItemKind::Barrier { .. } => None,
+        }
+    }
+}
+
+/// The kind of command a checkpointed item claims to come from — exactly
+/// the kinds that produce spans and so need an interned span label.
+#[derive(Debug, Clone, Copy)]
+enum SourceKind {
+    Launch,
+    Transfer,
+    AllReduce,
+}
+
+/// Resolves the command a checkpointed item or rendezvous arrival names,
+/// validating it against the resuming schedule: the index must lie inside
+/// the checkpoint's `prefix` and hold a command of the claimed kind on the
+/// item's `stream`. Returns that command's wait list (empty for
+/// all-reduces). A matching boundary hash already implies all of this; the
+/// check turns a hash collision or a corrupt checkpoint into an error
+/// instead of a panic deep inside the event loop.
+fn resumed_source(
+    cmds: &[Cmd],
+    prefix: usize,
+    stream: usize,
+    (idx, kind): (usize, SourceKind),
+) -> Result<&[EventId], GpuError> {
+    let waits = cmds[..prefix.min(cmds.len())].get(idx).and_then(|cmd| match (kind, cmd) {
+        (SourceKind::Launch, Cmd::Launch { stream: s, waits, .. })
+        | (SourceKind::Transfer, Cmd::Transfer { stream: s, waits, .. })
+            if s.0 == stream =>
+        {
+            Some(waits.as_slice())
+        }
+        (SourceKind::AllReduce, Cmd::AllReduce { stream: s, .. }) if s.0 == stream => Some(&[][..]),
+        _ => None,
+    });
+    waits.ok_or_else(|| {
+        GpuError::InvalidSchedule(format!(
+            "checkpoint work on stream {stream} names cmd {idx}, which is not a {kind:?} on \
+             that stream within the schedule's first {prefix} commands"
+        ))
+    })
+}
+
 #[derive(Debug, Clone)]
 struct Item<'s> {
     kind: ItemKind,
@@ -207,6 +259,22 @@ enum Active {
     AtAllReduce { id: u32 },
     /// Executing the ring all-reduce after the rendezvous released.
     ArBusy { until: f64, cmd_idx: usize, start: f64 },
+}
+
+impl Active {
+    /// The command the in-flight item was dispatched from, if it names one.
+    fn source(&self) -> Option<(usize, SourceKind)> {
+        match *self {
+            Active::Overhead { cmd_idx, .. } | Active::Work { cmd_idx, .. } => {
+                Some((cmd_idx, SourceKind::Launch))
+            }
+            Active::XferLat { cmd_idx, .. } | Active::Xfer { cmd_idx, .. } => {
+                Some((cmd_idx, SourceKind::Transfer))
+            }
+            Active::ArBusy { cmd_idx, .. } => Some((cmd_idx, SourceKind::AllReduce)),
+            Active::Fixed { .. } | Active::AtBarrier { .. } | Active::AtAllReduce { .. } => None,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -538,9 +606,11 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// [`GpuError::InvalidSchedule`] if the resume checkpoint does not match
-    /// a boundary of `schedule` (or disagrees on the stream count), or if a
-    /// capture index is not a marked boundary. [`GpuError::Deadlock`] as in
-    /// [`Engine::run`].
+    /// a boundary of `schedule` (or disagrees on the stream count), if its
+    /// queued or in-flight work names a command the schedule's prefix does
+    /// not hold on that stream (a prefix-hash collision or a corrupt
+    /// checkpoint), or if a capture index is not a marked boundary.
+    /// [`GpuError::Deadlock`] as in [`Engine::run`].
     pub fn run_incremental(
         &mut self,
         schedule: &Schedule,
@@ -604,7 +674,7 @@ impl<'a> Engine<'a> {
         let mut barrier_seq;
         match resume {
             Some(ck) => {
-                sim = Sim::restore(dev, topo, schedule, &mut self.clock, ck);
+                sim = Sim::restore(dev, topo, schedule, &mut self.clock, ck)?;
                 cpu_ns = ck.cpu_ns;
                 barrier_seq = ck.barrier_seq;
             }
@@ -829,41 +899,38 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     }
 
     /// Rebuilds the simulation exactly as it was when `ck` was captured,
-    /// re-borrowing wait lists from `schedule` (sound: the matching boundary
-    /// hash guarantees the command prefix is identical).
+    /// re-borrowing wait lists from `schedule`. The matching boundary hash
+    /// means the command prefix is identical; every command the restored
+    /// work names is still checked against it ([`resumed_source`]), so a
+    /// colliding or corrupt checkpoint is an error, not a later panic.
     fn restore(
         dev: &'d DeviceSpec,
         topo: Option<&'d Topology>,
         schedule: &'s Schedule,
         clock: &'c mut Clock,
         ck: &EngineCheckpoint,
-    ) -> Self {
+    ) -> Result<Self, GpuError> {
         let cmds = schedule.cmds();
         let counts = schedule.stream_cmd_counts();
-        let streams: Vec<StreamState<'s>> = ck
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(si, st)| {
-                let mut queue = VecDeque::with_capacity(counts[si]);
-                for (kind, issue_ns) in &st.queue {
-                    let waits: &'s [EventId] = match kind {
-                        ItemKind::Kernel { cmd_idx, .. } => match &cmds[*cmd_idx] {
-                            Cmd::Launch { waits, .. } => waits.as_slice(),
-                            _ => &[],
-                        },
-                        ItemKind::Transfer { cmd_idx, .. } => match &cmds[*cmd_idx] {
-                            Cmd::Transfer { waits, .. } => waits.as_slice(),
-                            _ => &[],
-                        },
-                        _ => &[],
-                    };
-                    queue.push_back(Item { kind: kind.clone(), issue_ns: *issue_ns, waits });
-                }
-                StreamState { queue, active: st.active.clone() }
-            })
-            .collect();
-        Sim {
+        let mut streams: Vec<StreamState<'s>> = Vec::with_capacity(ck.streams.len());
+        for (si, st) in ck.streams.iter().enumerate() {
+            let mut queue = VecDeque::with_capacity(counts[si]);
+            for (kind, issue_ns) in &st.queue {
+                let waits = match kind.source() {
+                    Some(src) => resumed_source(cmds, ck.cmd_idx, si, src)?,
+                    None => &[],
+                };
+                queue.push_back(Item { kind: kind.clone(), issue_ns: *issue_ns, waits });
+            }
+            if let Some(src) = st.active.as_ref().and_then(Active::source) {
+                resumed_source(cmds, ck.cmd_idx, si, src)?;
+            }
+            streams.push(StreamState { queue, active: st.active.clone() });
+        }
+        for &(stream, _, _, cmd_idx) in ck.ar_arrivals.iter().flat_map(|(_, arr)| arr) {
+            resumed_source(cmds, ck.cmd_idx, stream, (cmd_idx, SourceKind::AllReduce))?;
+        }
+        Ok(Sim {
             dev,
             topo,
             stream_dev: schedule.stream_devices(),
@@ -883,7 +950,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             rates_dirty: ck.rates_dirty,
             spans: ck.spans.clone(),
             result: ck.result.clone(),
-        }
+        })
     }
 
     /// Snapshots the full simulation state (plus the dispatcher's `cpu_ns`
@@ -1909,6 +1976,55 @@ mod tests {
         // Capture indices must be marked boundaries (0 is not one here).
         let err = Engine::new(&dev).run_incremental(&s, None, &[0]).unwrap_err();
         assert!(matches!(err, GpuError::InvalidSchedule(_)));
+    }
+
+    #[test]
+    fn resume_rejects_forged_checkpoints_instead_of_panicking() {
+        let dev = DeviceSpec::p100();
+        let s = segmented_schedule();
+        let (_, cks) = Engine::new(&dev).run_incremental(&s, None, &[4]).unwrap();
+        let ck = &cks[0];
+        assert!(
+            ck.streams.iter().any(|st| st.active.is_some() || !st.queue.is_empty()),
+            "the forged checkpoint must carry in-flight work for this test to bite"
+        );
+        // Simulates a prefix-hash collision: `ck` claims a boundary of a
+        // schedule whose prefix never launched what `ck` has in flight.
+        let resume_on = |other: &Schedule, at: usize| {
+            let mut forged = ck.clone();
+            forged.cmd_idx = at;
+            forged.prefix_hash = other.boundary_hash(at).expect("marked boundary");
+            Engine::new(&dev).run_incremental(other, Some(&forged), &[])
+        };
+        let build = |prefix: &dyn Fn(&mut Schedule, usize)| {
+            let mut o = Schedule::new(2);
+            for i in 0..4 {
+                prefix(&mut o, i);
+                o.mark_boundary();
+            }
+            o.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
+            o.mark_boundary();
+            o
+        };
+        // Records where the checkpoint has launches.
+        let records = build(&|o, i| {
+            o.record(StreamId(i % 2));
+        });
+        // Launches, but on the other stream.
+        let swapped = build(&|o, i| {
+            o.launch(StreamId((i + 1) % 2), gemm(GemmShape::new(64, 256, 256)));
+        });
+        // Launches on the right streams, but the checkpoint's work lies past
+        // the claimed prefix.
+        let same = build(&|o, i| {
+            o.launch(StreamId(i % 2), gemm(GemmShape::new(64, 256, 256)));
+        });
+        for (other, at) in [(&records, 4), (&swapped, 4), (&same, 1)] {
+            let err = resume_on(other, at).unwrap_err();
+            assert!(matches!(err, GpuError::InvalidSchedule(_)), "{err}");
+        }
+        // The genuine prefix still resumes.
+        assert!(resume_on(&same, 4).is_ok());
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //! show up in [`Schedule::render`] (golden traces stay byte-stable):
 //!
 //! * a table of pre-interned span labels (`Arc<str>`, one per launch), so the
-//!   engine never allocates a `String` per executed kernel;
+//!   engine never allocates a `String` per executed kernel — dispatchers
+//!   that launch the same kernel repeatedly can hand in a label interned
+//!   once ([`Schedule::launch_interned`]);
 //! * optional *segment boundaries* ([`Schedule::mark_boundary`]) with a
 //!   rolling prefix hash per boundary, the anchor points for incremental
-//!   simulation: two schedules whose boundary hashes match are guaranteed to
-//!   share the exact command prefix, so an
+//!   simulation: two schedules whose boundary hashes match share the exact
+//!   command prefix (modulo 64-bit collision), so an
 //!   [`EngineCheckpoint`](crate::engine::EngineCheckpoint) captured on one
-//!   can seed the other;
+//!   can seed the other. The hash is a structural fold over every field of
+//!   every command (see [`Schedule::prefix_hash`]) — never a `Debug`
+//!   rendering — so cache keys built on it are stable across toolchains;
 //! * optional per-command *tags* ([`Schedule::set_tag`]) linking a command
 //!   back to whatever emitted it (the wirer tags launches with the unit
 //!   index), which is how the static verifier resolves buffer footprints.
@@ -114,9 +118,10 @@ pub struct Schedule {
     // Queue items each stream will receive (launches + records + barriers),
     // maintained incrementally so the engine can pre-size its FIFOs.
     stream_cmds: Vec<usize>,
-    // Rolling hash of every command appended so far (content hash: kernel
-    // descriptors, streams, waits, labels). Folded left-to-right, so equal
-    // hashes mean equal command prefixes (modulo 64-bit collisions).
+    // Rolling structural hash of every command appended so far (kernel
+    // descriptor fields, streams, waits, events, labels; see `hash_cmd`).
+    // Folded left-to-right, so equal hashes mean equal command prefixes
+    // (modulo 64-bit collisions).
     prefix_hash: u64,
     // (command index, prefix hash at that index) for each marked boundary,
     // strictly increasing in the index.
@@ -143,7 +148,8 @@ pub(crate) fn fold_hash(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte string; feeds [`fold_hash`] with command content.
+/// FNV-1a over a byte string; feeds [`fold_hash`] with string content
+/// (launch labels, device and link names).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325_u64;
     for &b in bytes {
@@ -151,6 +157,69 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Folds `vals` into `h`, in order.
+fn fold_all(h: u64, vals: &[u64]) -> u64 {
+    vals.iter().fold(h, |h, &v| fold_hash(h, v))
+}
+
+/// Folds a wait list into `h`: its length, then every event id in order, so
+/// `[e1, e2]`, `[e2, e1]` and `[e1, e1]` all hash apart.
+fn hash_waits(h: u64, waits: &[EventId]) -> u64 {
+    waits.iter().fold(fold_hash(h, waits.len() as u64), |h, e| fold_hash(h, u64::from(e.0)))
+}
+
+/// Folds a kernel descriptor into `h`: a per-variant discriminant, then
+/// every field (floats as their IEEE bit patterns, so `0.0` and `-0.0`
+/// differ; the GEMM library as its discriminant). The patterns name every
+/// field, so a field added to [`KernelDesc`] fails to compile here until it
+/// is hashed.
+fn hash_kernel(h: u64, kernel: &KernelDesc) -> u64 {
+    match *kernel {
+        KernelDesc::Gemm { shape, lib } => {
+            fold_all(h, &[0, shape.m, shape.k, shape.n, lib as u64])
+        }
+        KernelDesc::Elementwise { elements, flops_per_element, inputs, outputs } => fold_all(
+            h,
+            &[1, elements, flops_per_element.to_bits(), u64::from(inputs), u64::from(outputs)],
+        ),
+        KernelDesc::Softmax { rows, cols } => fold_all(h, &[2, rows, cols]),
+        KernelDesc::EmbeddingLookup { rows, width } => fold_all(h, &[3, rows, width]),
+        KernelDesc::Compound { flops, bytes } => fold_all(h, &[4, flops.to_bits(), bytes.to_bits()]),
+        KernelDesc::MemCopy { bytes } => fold_all(h, &[5, bytes.to_bits()]),
+        KernelDesc::HostRoundtrip { bytes } => fold_all(h, &[6, bytes.to_bits()]),
+        KernelDesc::Conv { batch, gemm_m, gemm_k, gemm_n } => {
+            fold_all(h, &[7, batch, gemm_m, gemm_k, gemm_n])
+        }
+    }
+}
+
+/// Folds one command into `h`, field by field: a variant discriminant, the
+/// stream, the kernel descriptor, the length-prefixed wait list, event ids,
+/// transfer/all-reduce payloads and endpoints, and the explicit launch label
+/// (a presence tag, then the FNV-1a of its bytes). Like [`hash_kernel`],
+/// every pattern names every field.
+fn hash_cmd(h: u64, cmd: &Cmd) -> u64 {
+    match cmd {
+        Cmd::Launch { stream, kernel, waits, label } => {
+            let h = hash_kernel(fold_all(h, &[0, stream.0 as u64]), kernel);
+            let h = hash_waits(h, waits);
+            match label {
+                Some(l) => fold_all(h, &[1, fnv1a(l.as_bytes())]),
+                None => fold_hash(h, 0),
+            }
+        }
+        Cmd::Record { stream, event } => fold_all(h, &[1, stream.0 as u64, u64::from(event.0)]),
+        Cmd::Barrier => fold_hash(h, 2),
+        Cmd::HostSync => fold_hash(h, 3),
+        Cmd::Transfer { stream, bytes, src, dst, waits } => {
+            hash_waits(fold_all(h, &[4, stream.0 as u64, *bytes, *src as u64, *dst as u64]), waits)
+        }
+        Cmd::AllReduce { stream, bytes, group } => {
+            fold_all(h, &[5, stream.0 as u64, *bytes, u64::from(*group)])
+        }
+    }
 }
 
 impl Schedule {
@@ -268,7 +337,12 @@ impl Schedule {
     ///
     /// Equal hashes on two schedules mean (modulo 64-bit collision) the two
     /// command lists are identical — commands, kernels, waits, labels, and
-    /// stream count all participate.
+    /// stream count all participate. Each command is folded structurally,
+    /// field by field (floats by bit pattern, sequences length-prefixed,
+    /// labels by their bytes), so the value depends on nothing but the
+    /// commands: not on `Debug` formatting, and not on the toolchain.
+    /// Persisted simulation memos are keyed on it, so changing the fold
+    /// invalidates them (the store's memo record version must be bumped).
     pub fn prefix_hash(&self) -> u64 {
         self.prefix_hash
     }
@@ -325,18 +399,17 @@ impl Schedule {
         self.tags[cmd_idx] = Some(tag);
     }
 
-    /// Folds the just-pushed command into the rolling prefix hash. Hashes
-    /// the command's debug rendering: every field (kernel descriptor bits,
-    /// stream, waits, label) participates, and the encoding tracks
-    /// [`KernelDesc`] growth automatically.
+    /// Folds the just-pushed command into the rolling prefix hash,
+    /// structurally: every field of the command participates (see
+    /// `hash_cmd`), with no intermediate rendering or allocation.
     fn absorb_last(&mut self) {
         let cmd = self.cmds.last().expect("called right after a push");
-        self.prefix_hash = fold_hash(self.prefix_hash, fnv1a(format!("{cmd:?}").as_bytes()));
+        self.prefix_hash = hash_cmd(self.prefix_hash, cmd);
     }
 
     /// Appends an unlabelled launch with no waits. Returns the command index.
     pub fn launch(&mut self, stream: StreamId, kernel: KernelDesc) -> usize {
-        self.push_launch(stream, kernel, Vec::new(), None)
+        self.launch_after(stream, kernel, Vec::new())
     }
 
     /// Appends a launch gated on `waits`. Returns the command index.
@@ -346,7 +419,26 @@ impl Schedule {
         kernel: KernelDesc,
         waits: Vec<EventId>,
     ) -> usize {
-        self.push_launch(stream, kernel, waits, None)
+        let span = Arc::from(kernel.label());
+        self.push_launch(stream, kernel, waits, None, span)
+    }
+
+    /// Like [`Schedule::launch_after`], but with the kernel's default span
+    /// label already interned by the caller, so a dispatcher that launches
+    /// the same kernel in many schedules formats its label once instead of
+    /// once per launch. The command, its rendering, and the prefix hash are
+    /// exactly those of `launch_after`. Returns the command index.
+    ///
+    /// `span_label` must equal `kernel.label()` (checked in debug builds).
+    pub fn launch_interned(
+        &mut self,
+        stream: StreamId,
+        kernel: KernelDesc,
+        waits: Vec<EventId>,
+        span_label: Arc<str>,
+    ) -> usize {
+        debug_assert_eq!(*span_label, *kernel.label(), "stale interned label");
+        self.push_launch(stream, kernel, waits, None, span_label)
     }
 
     /// Appends a labelled launch gated on `waits`. Returns the command index.
@@ -357,7 +449,9 @@ impl Schedule {
         waits: Vec<EventId>,
         label: impl Into<String>,
     ) -> usize {
-        self.push_launch(stream, kernel, waits, Some(label.into()))
+        let label = label.into();
+        let span = Arc::from(label.as_str());
+        self.push_launch(stream, kernel, waits, Some(label), span)
     }
 
     fn push_launch(
@@ -366,15 +460,12 @@ impl Schedule {
         kernel: KernelDesc,
         waits: Vec<EventId>,
         label: Option<String>,
+        span: Arc<str>,
     ) -> usize {
         self.check_stream(stream);
         self.num_launches += 1;
         self.stream_cmds[stream.0] += 1;
-        let interned: Arc<str> = match &label {
-            Some(l) => Arc::from(l.as_str()),
-            None => Arc::from(kernel.label().as_str()),
-        };
-        self.span_labels.push(Some(interned));
+        self.span_labels.push(Some(span));
         self.tags.push(None);
         self.cmds.push(Cmd::Launch { stream, kernel, waits, label });
         self.absorb_last();
@@ -691,6 +782,158 @@ mod tests {
     fn transfer_on_wrong_device_panics() {
         let mut s = Schedule::with_devices(2, vec![0, 1]);
         s.transfer(StreamId(0), 64, 0, 1, Vec::new());
+    }
+
+    /// Prefix hash of a one-command schedule holding exactly `cmd` (pushed
+    /// raw, so fields the builder API never varies — event ids — can too).
+    fn hash_of(cmd: Cmd) -> u64 {
+        let mut s = Schedule::new(2);
+        s.cmds.push(cmd);
+        s.absorb_last();
+        s.prefix_hash()
+    }
+
+    /// Every kernel variant plus every single-field mutation of each,
+    /// floats also flipped to `-0.0`.
+    fn kernel_variants() -> Vec<KernelDesc> {
+        use crate::gemm::{GemmLibrary, GemmShape};
+        let g = |m, k, n, lib| KernelDesc::Gemm { shape: GemmShape { m, k, n }, lib };
+        let ew = |elements, flops_per_element, inputs, outputs| KernelDesc::Elementwise {
+            elements,
+            flops_per_element,
+            inputs,
+            outputs,
+        };
+        let conv = |batch, gemm_m, gemm_k, gemm_n| KernelDesc::Conv { batch, gemm_m, gemm_k, gemm_n };
+        vec![
+            g(8, 16, 32, GemmLibrary::CublasLike),
+            g(9, 16, 32, GemmLibrary::CublasLike),
+            g(8, 17, 32, GemmLibrary::CublasLike),
+            g(8, 16, 33, GemmLibrary::CublasLike),
+            g(8, 16, 32, GemmLibrary::OaiWide),
+            g(8, 16, 32, GemmLibrary::OaiTall),
+            ew(64, 0.0, 1, 1),
+            ew(65, 0.0, 1, 1),
+            ew(64, -0.0, 1, 1),
+            ew(64, 2.0, 1, 1),
+            ew(64, 0.0, 2, 1),
+            ew(64, 0.0, 1, 2),
+            KernelDesc::Softmax { rows: 4, cols: 8 },
+            KernelDesc::Softmax { rows: 5, cols: 8 },
+            KernelDesc::Softmax { rows: 4, cols: 9 },
+            KernelDesc::EmbeddingLookup { rows: 4, width: 8 },
+            KernelDesc::EmbeddingLookup { rows: 5, width: 8 },
+            KernelDesc::EmbeddingLookup { rows: 4, width: 9 },
+            KernelDesc::Compound { flops: 0.0, bytes: 0.0 },
+            KernelDesc::Compound { flops: -0.0, bytes: 0.0 },
+            KernelDesc::Compound { flops: 0.0, bytes: -0.0 },
+            KernelDesc::Compound { flops: 1.0, bytes: 0.0 },
+            KernelDesc::MemCopy { bytes: 0.0 },
+            KernelDesc::MemCopy { bytes: -0.0 },
+            KernelDesc::MemCopy { bytes: 1.0 },
+            KernelDesc::HostRoundtrip { bytes: 0.0 },
+            KernelDesc::HostRoundtrip { bytes: -0.0 },
+            KernelDesc::HostRoundtrip { bytes: 1.0 },
+            conv(1, 2, 3, 4),
+            conv(9, 2, 3, 4),
+            conv(1, 9, 3, 4),
+            conv(1, 2, 9, 4),
+            conv(1, 2, 3, 9),
+        ]
+    }
+
+    #[test]
+    fn every_field_of_every_command_moves_the_prefix_hash() {
+        let k = KernelDesc::MemCopy { bytes: 8.0 };
+        let (e1, e2) = (EventId(1), EventId(2));
+        let launch = |stream: usize, kernel, waits: Vec<EventId>, label: Option<&str>| {
+            Cmd::Launch {
+                stream: StreamId(stream),
+                kernel,
+                waits,
+                label: label.map(str::to_owned),
+            }
+        };
+        let transfer = |stream: usize, bytes, src, dst, waits| Cmd::Transfer {
+            stream: StreamId(stream),
+            bytes,
+            src,
+            dst,
+            waits,
+        };
+        let mut cmds: Vec<Cmd> =
+            kernel_variants().into_iter().map(|kv| launch(0, kv, Vec::new(), None)).collect();
+        cmds.extend([
+            launch(1, k, Vec::new(), None),
+            launch(0, k, vec![e1], None),
+            launch(0, k, vec![e1, e1], None),
+            launch(0, k, vec![e1, e2], None),
+            launch(0, k, vec![e2, e1], None),
+            launch(0, k, Vec::new(), Some("x")),
+            launch(0, k, Vec::new(), Some("y")),
+            launch(0, k, Vec::new(), Some("")),
+            Cmd::Record { stream: StreamId(0), event: e1 },
+            Cmd::Record { stream: StreamId(1), event: e1 },
+            Cmd::Record { stream: StreamId(0), event: e2 },
+            Cmd::Barrier,
+            Cmd::HostSync,
+            transfer(0, 64, 0, 1, Vec::new()),
+            transfer(1, 64, 0, 1, Vec::new()),
+            transfer(0, 65, 0, 1, Vec::new()),
+            transfer(0, 64, 2, 1, Vec::new()),
+            transfer(0, 64, 0, 2, Vec::new()),
+            transfer(0, 64, 0, 1, vec![e1]),
+            transfer(0, 64, 0, 1, vec![e1, e1]),
+            transfer(0, 64, 0, 1, vec![e1, e2]),
+            transfer(0, 64, 0, 1, vec![e2, e1]),
+            Cmd::AllReduce { stream: StreamId(0), bytes: 64, group: 0 },
+            Cmd::AllReduce { stream: StreamId(1), bytes: 64, group: 0 },
+            Cmd::AllReduce { stream: StreamId(0), bytes: 65, group: 0 },
+            Cmd::AllReduce { stream: StreamId(0), bytes: 64, group: 1 },
+        ]);
+        // All pairwise distinct: in particular every single-field mutation
+        // differs from its base, and no two variants alias.
+        let mut seen = std::collections::HashMap::new();
+        for cmd in cmds {
+            let h = hash_of(cmd.clone());
+            assert_eq!(h, hash_of(cmd.clone()), "hashing is deterministic");
+            if let Some(prev) = seen.insert(h, cmd.clone()) {
+                panic!("{prev:?} and {cmd:?} hash alike ({h:#x})");
+            }
+        }
+    }
+
+    /// Pins the fold itself: a change to how commands are hashed changes
+    /// every persisted memo key. If this literal has to change, bump the
+    /// store's memo record version too (`crates/store/src/record.rs`), so
+    /// memos journaled under the old hash are quarantined instead of
+    /// silently never matching again.
+    #[test]
+    fn prefix_hash_is_pinned() {
+        let mut s = Schedule::with_devices(2, vec![0, 1]);
+        s.launch(StreamId(0), KernelDesc::Elementwise {
+            elements: 64,
+            flops_per_element: 2.5,
+            inputs: 2,
+            outputs: 1,
+        });
+        let ev = s.record(StreamId(0));
+        s.launch_labeled(StreamId(0), KernelDesc::MemCopy { bytes: 1024.0 }, vec![ev], "gather");
+        s.transfer(StreamId(1), 4096, 0, 1, vec![ev]);
+        s.barrier();
+        s.all_reduce(StreamId(0), 512, 3);
+        s.host_sync();
+        assert_eq!(s.prefix_hash(), 0x3A0B_F2F2_54DE_8844);
+    }
+
+    #[test]
+    fn interned_launches_match_plain_ones() {
+        let k = KernelDesc::Softmax { rows: 4, cols: 8 };
+        let mut a = Schedule::new(1);
+        a.launch_after(StreamId(0), k, Vec::new());
+        let mut b = Schedule::new(1);
+        b.launch_interned(StreamId(0), k, Vec::new(), Arc::from(k.label()));
+        assert_eq!(a, b, "same command, hash, and span label");
     }
 
     #[test]

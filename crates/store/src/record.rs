@@ -223,9 +223,24 @@ const TAG_QUARANTINE: u8 = 4;
 const TAG_PREDICTOR: u8 = 5;
 const TAG_MEMO: u8 = 6;
 
-/// Current version of every record body. Bump per-tag when a body changes;
-/// decode rejects unknown versions into quarantine rather than guessing.
+/// Current version of every record body except the memo's. Bump per-tag
+/// when a body, or the meaning of a key it carries, changes; decode rejects
+/// unknown versions into quarantine rather than guessing.
 const VERSION: u8 = 1;
+
+/// Current version of [`Record::Memo`] bodies. Version 2: the key's
+/// `prefix_hash` is the structural schedule hash; version-1 memos were keyed
+/// on a hash of each command's `Debug` rendering and can never match again.
+const MEMO_VERSION: u8 = 2;
+
+/// The body version a record with `tag` must carry.
+fn body_version(tag: u8) -> u8 {
+    if tag == TAG_MEMO {
+        MEMO_VERSION
+    } else {
+        VERSION
+    }
+}
 
 fn enc_key(e: &mut Encoder, contexts: &[String], entity: &str, choice: u64) {
     e.seq(contexts.len());
@@ -311,7 +326,7 @@ impl Record {
             }
             Record::Memo(r) => {
                 e.u8(TAG_MEMO);
-                e.u8(VERSION);
+                e.u8(MEMO_VERSION);
                 e.u64(r.key.prefix_hash);
                 e.u64(r.key.device);
                 e.u8(r.key.clock_tag);
@@ -400,7 +415,7 @@ impl Record {
         let mut d = Decoder::new(payload);
         let tag = d.u8()?;
         let version = d.u8()?;
-        if version != VERSION {
+        if version != body_version(tag) {
             return Err(CodecError::BadVersion { tag, version });
         }
         let rec = match tag {
@@ -662,6 +677,24 @@ mod tests {
         assert!(matches!(
             Record::decode(&payload),
             Err(CodecError::BadVersion { version: 99, .. })
+        ));
+    }
+
+    #[test]
+    fn versions_are_per_tag() {
+        for rec in sample_records() {
+            let payload = rec.encode();
+            let want = if matches!(rec, Record::Memo(_)) { MEMO_VERSION } else { VERSION };
+            assert_eq!(payload[1], want, "{} version", rec.kind_name());
+        }
+        // A memo journaled under the old schedule hash is rejected, not
+        // decoded into a key that can never match.
+        let memo = sample_records().into_iter().find(|r| matches!(r, Record::Memo(_)));
+        let mut old_memo = memo.expect("samples include a memo").encode();
+        old_memo[1] = 1;
+        assert!(matches!(
+            Record::decode(&old_memo),
+            Err(CodecError::BadVersion { tag: TAG_MEMO, version: 1 })
         ));
     }
 

@@ -464,6 +464,95 @@ fn enumerated_plans_verify_clean_across_the_zoo() {
     }
 }
 
+/// Every launch's span label is its explicit label or, failing that, its
+/// kernel's default label — byte for byte. Emission hands the schedule the
+/// label each unit interned when it was built, so this pins that no stale
+/// label survives a library rebind ([`bind_libs`]), a fragmented build, or
+/// any emission path (multi-stream, partitioned, both placements).
+///
+/// [`bind_libs`]: astra::core::bind_libs
+#[test]
+fn span_labels_match_kernel_labels_across_the_zoo() {
+    use astra::core::enumerate::epochs::partition_units;
+    use astra::core::{bind_libs, build_units_fragmented, DevicePlacement, PlanCache, Unit};
+    use astra::gpu::Cmd;
+    use astra::models::Model;
+    use std::sync::Arc;
+
+    fn check(sched: &Schedule, what: &str) {
+        for (i, cmd) in sched.cmds().iter().enumerate() {
+            let span = sched.span_labels()[i].as_deref();
+            if let Cmd::Launch { kernel, label, .. } = cmd {
+                let want = label.clone().unwrap_or_else(|| kernel.label());
+                assert_eq!(span, Some(want.as_str()), "{what}: cmd {i} span label");
+            }
+        }
+    }
+
+    for m in Model::all() {
+        let mut c = m.default_config(8);
+        c.hidden = 64;
+        c.input = 64;
+        c.vocab = 128;
+        c.seq_len = 3;
+        c.layers = c.layers.min(2);
+        let built = m.build(&c);
+        let ctx = PlanContext::new(&built.graph);
+        for strategy in 0..ctx.alloc.strategies.len().max(1) {
+            // Greedily fuse every set (reverting cyclic choices) so blocks,
+            // combines, and gather copies all show up.
+            let mut cfg = ExecConfig { strategy, ..ExecConfig::baseline() };
+            for set in &ctx.sets {
+                let rc = *set.row_chunks().last().expect("a row chunk");
+                let cc = *set.col_chunks().last().expect("a col chunk");
+                let prev = cfg.chunks.insert(set.id.clone(), (rc, cc));
+                if build_units(&ctx, &cfg).is_err() {
+                    match prev {
+                        Some(p) => cfg.chunks.insert(set.id.clone(), p),
+                        None => cfg.chunks.remove(&set.id),
+                    };
+                }
+            }
+            let structural = PlanCache::build_structural(&ctx, &cfg).expect("valid config");
+            // Rebind every GEMM away from the default library.
+            for u in structural.iter() {
+                if let Some(shape) = u.gemm_shape {
+                    cfg.libs.insert(shape, GemmLibrary::OaiWide);
+                }
+            }
+            let rebound = bind_libs(&structural, &cfg);
+            assert!(!Arc::ptr_eq(&structural, &rebound), "{m}: the rebind must rebind");
+            let fragmented: Arc<[Unit]> =
+                build_units_fragmented(&ctx, &cfg, u64::MAX).expect("valid config").into();
+            cfg.num_streams = 2;
+            for (i, u) in rebound.iter().enumerate() {
+                cfg.streams.insert(u.id, i % 2);
+            }
+            for (units, kind) in [(&rebound, "rebound"), (&fragmented, "fragmented")] {
+                let what = format!("{m} strategy {strategy} {kind}");
+                for u in units.iter() {
+                    assert_eq!(**u.label(), *u.kernel.label(), "{what}: unit label");
+                }
+                let (sched, _) = emit_schedule(&ctx, &cfg, units, None, &ProbeSpec::none());
+                check(&sched, &what);
+                let total: f64 = units.iter().map(|u| u.flops).sum();
+                let partition = partition_units(units, (total / 4.0).max(1.0));
+                let (sched, _) =
+                    emit_schedule(&ctx, &cfg, units, Some(&partition), &ProbeSpec::none());
+                check(&sched, &format!("{what} partitioned"));
+                for placement in [
+                    DevicePlacement::DataParallel { shares: vec![1, 2] },
+                    DevicePlacement::ModelParallel { cuts: vec![units.len() / 2] },
+                ] {
+                    let cfg = ExecConfig { placement, ..cfg.clone() };
+                    let (sched, _) = emit_schedule(&ctx, &cfg, units, None, &ProbeSpec::none());
+                    check(&sched, &format!("{what} {}", cfg.placement.label()));
+                }
+            }
+        }
+    }
+}
+
 /// Dynamic-graph coverage: the schedule of every PTB bucket length (§5.5)
 /// verifies clean under a two-stream round-robin assignment.
 #[test]

@@ -198,6 +198,60 @@ fn flipped_journal_byte_is_quarantined_without_losing_unaffected_keys() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Rewrites the first memo frame of the store's journal the way a binary
+/// from before the structural schedule hash wrote it: memo body version 1,
+/// frame checksum recomputed, so only the version is stale.
+fn downgrade_first_memo(dir: &Path) {
+    let journal = dir.join("journal.astra");
+    let mut bytes = std::fs::read(&journal).unwrap();
+    let mut pos = store::MAGIC.len();
+    while pos + 12 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = pos + 12..pos + 12 + len;
+        if matches!(store::Record::decode(&bytes[payload.clone()]), Ok(store::Record::Memo(_))) {
+            bytes[payload.start + 1] = 1;
+            let sum = store::fnv1a64(&bytes[payload]);
+            bytes[pos + 4..pos + 12].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&journal, &bytes).unwrap();
+            return;
+        }
+        pos = payload.end;
+    }
+    panic!("the journal holds no memo to downgrade");
+}
+
+#[test]
+fn old_version_memo_is_quarantined_and_every_other_key_loads() {
+    let built = tiny();
+    let dir = tmpdir("oldmemo");
+    let reference = run(&built, &RunSpec::cold(1));
+    run(&built, &RunSpec::stored(&dir, 1));
+    let before = store::fsck(&dir).unwrap();
+    assert!(before.corrupt.is_empty());
+
+    // A memo keyed on the old schedule hash can never match again: fsck
+    // flags it by version, not as bit rot.
+    downgrade_first_memo(&dir);
+    let report = store::fsck(&dir).unwrap();
+    assert_eq!(report.corrupt.len(), 1, "exactly the old memo is flagged");
+    assert!(report.corrupt[0].reason.contains("version 1"), "{}", report.corrupt[0].reason);
+    assert_eq!(report.total_records(), before.total_records() - 1);
+
+    // Opening quarantines it, loads every other record, and the run lands
+    // on the bit-identical plan.
+    let resumed = run(&built, &RunSpec::stored(&dir, 1));
+    assert_same_plan(&reference, &resumed, "run over a store with an old memo");
+    assert!(resumed.warm_start);
+    assert_eq!(resumed.store_corrupt_records, 1);
+    assert_eq!(resumed.store_loaded_keys, before.total_records() - 1, "every other key loads");
+
+    let report = store::fsck(&dir).unwrap();
+    assert!(report.corrupt.is_empty(), "recovery moved the old memo aside");
+    assert_eq!(report.quarantined_lines, 1);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn compaction_preserves_the_resumed_plan() {
     let built = tiny();
