@@ -85,9 +85,6 @@ commands:
             [--lint on|off]   static resource lint gate on candidate plans (default on):
                               plans whose peak live memory exceeds device capacity are
                               quarantined before simulation (lint-mem-capacity)
-            [--elide-syncs]   drop transitively-implied event waits from every explored
-                              schedule before simulating; the rewrite is verify-clean and
-                              the simulated cost is bit-identical
             [--bound-prune on|off]
                               skip candidates whose critical-path lower bound already
                               exceeds the measured best (default off); composes with the
@@ -288,7 +285,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let (predictor, predictor_top_k, predictor_epsilon) = parse_predictor(&opts)?;
     let lint = parse_on_off(&opts, "--lint", true)?;
     let bound_prune = parse_on_off(&opts, "--bound-prune", false)?;
-    let elide_syncs = opts.flag("--elide-syncs");
     let node = parse_node(&opts, &dev)?;
     let store_dir = opts.get("--store").map(std::path::PathBuf::from);
     let store_on = store_dir.is_some();
@@ -306,7 +302,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         predictor_top_k,
         predictor_epsilon,
         lint,
-        elide_syncs,
         bound_prune,
         store_dir,
         warm_index,
@@ -367,8 +362,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     );
     println!("verify: {} plans analyzed, {} rejected", r.plans_verified, r.verify_rejects);
     println!(
-        "lint: {} plans rejected, {} syncs elided, {} trials bound-pruned",
-        r.lint_rejects, r.syncs_elided, r.bound_pruned
+        "lint: {} plans rejected, {} trials bound-pruned",
+        r.lint_rejects, r.bound_pruned
     );
     println!(
         "predictor: {} trials pruned / {} simulated ({} model updates, MAE {:.2} us)",
@@ -439,7 +434,6 @@ fn report_json(r: &astra_core::Report, node: Option<&astra_gpu::Topology>) -> St
         format!("\"plans_verified\":{}", r.plans_verified),
         format!("\"verify_rejects\":{}", r.verify_rejects),
         format!("\"lint_rejects\":{}", r.lint_rejects),
-        format!("\"syncs_elided\":{}", r.syncs_elided),
         format!("\"bound_pruned\":{}", r.bound_pruned),
         format!("\"warm_start\":{}", r.warm_start),
         format!("\"store_loaded_keys\":{}", r.store_loaded_keys),

@@ -16,30 +16,32 @@
 //!    sets re-explore per strategy (their profile keys carry the strategy
 //!    context), unaffected measurements are shared via profile-index hits.
 //!
-//! A final playoff runs the best configuration of each allocation context
-//! and picks the overall winner (§4.5.2).
+//! On a multi-device node, a placement phase (P) follows. F, K, S and P
+//! are each a `Phase` (see `phase.rs`) run by the one exploration loop,
+//! `Astra::explore_phase`. A final playoff runs the best configuration of
+//! each allocation context and picks the overall winner (§4.5.2).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use astra_exec::native_schedule;
 use astra_gpu::{
-    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, GemmLibrary, GemmShape,
-    RunResult, Schedule, Topology,
+    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, GpuError, RunResult, Schedule,
+    Topology,
 };
 use astra_ir::Graph;
 use astra_predict::{FeatureVec, PredEntry};
 use astra_store::{StoreOptions, VerdictKind};
 
-use crate::adaptive::{ExploreMode, UpdateNode, UpdateTree};
-use crate::enumerate::epochs::{epoch_choices, partition_units, EpochAssignment, Partition};
+use crate::adaptive::UpdateTree;
+use crate::enumerate::epochs::partition_units;
 use crate::error::AstraError;
-use crate::parallel::{effective_workers, parallel_map, WorkerPool};
+use crate::parallel::{effective_workers, WorkerPool};
 use crate::persist::{DriverStore, WarmState};
+use crate::phase::{Contexts, FusionPhase, KernelPhase, Phase, PlacementPhase, StreamPhase};
 use crate::plan::{
-    bind_libs, build_units_fragmented, emit_schedule, epoch_features, fusion_features,
-    gradient_sync_bytes, kernel_features, placement_candidates, placement_features,
-    DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit,
+    build_units_fragmented, emit_schedule, placement_candidates, DevicePlacement, ExecConfig,
+    PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
@@ -91,6 +93,86 @@ fn quarantine_id(phase: &str, keys: impl IntoIterator<Item = ProfileKey>) -> Pro
     ProfileKey::from_parts(contexts, format!("quarantine:{phase}"), 0)
 }
 
+/// Cumulative optimizer counters, read before and after one
+/// [`Astra::optimize`] call; the [`Report`] carries their differences.
+#[derive(Clone, Copy)]
+struct Counters {
+    plan_cache_hits: u64,
+    plan_cache_misses: u64,
+    sim_hits: u64,
+    sim_misses: u64,
+    sim_resumed_cmds: u64,
+    sim_total_cmds: u64,
+    sim_hit_depth: [u64; HIT_DEPTH_BUCKETS],
+    prefix_groups: u64,
+    plans_verified: u64,
+    verify_rejects: u64,
+    lint_rejects: u64,
+    predictor_updates: u64,
+    predictor_abs_err_ns: f64,
+    predictor_err_samples: u64,
+    journal_appends: u64,
+    compactions: u64,
+}
+
+/// One static check's verdicts (the verifier's or the linter's), keyed by
+/// plan geometry and device placement: a geometry's first emitted schedule
+/// under each placement is analyzed once and the verdict reused for every
+/// later candidate sharing both. (Placement changes the wiring — replicas,
+/// transfers, collectives — without changing the unit geometry, so it
+/// keys the verdict alongside the plan key.)
+#[derive(Debug, Default)]
+struct Verdicts {
+    cache: HashMap<(PlanKey, DevicePlacement), bool>,
+    /// Persisted verdicts by plan fingerprint: consulted on a cache miss
+    /// before the check runs, never mutated after load.
+    warm: HashMap<u64, bool>,
+    /// Cumulative check executions (cache and warm misses).
+    runs: u64,
+    /// Cumulative rejected plans.
+    rejects: u64,
+}
+
+impl Verdicts {
+    /// The verdict for `key`, running `check` only when neither the cache
+    /// nor the persisted verdicts know it. A persisted verdict is as good
+    /// as a fresh one (the analysis is a pure function of the plan), so a
+    /// warm hit moves no counter; a fresh one is journaled to `store`.
+    fn check(
+        &mut self,
+        key: &(PlanKey, DevicePlacement),
+        kind: VerdictKind,
+        store: Option<&mut DriverStore>,
+        check: impl FnOnce() -> bool,
+    ) -> bool {
+        if let Some(&clean) = self.cache.get(key) {
+            return clean;
+        }
+        let fp = key.0.fingerprint(&key.1);
+        let clean = match self.warm.get(&fp) {
+            Some(&clean) => clean,
+            None => {
+                let clean = check();
+                self.runs += 1;
+                self.rejects += u64::from(!clean);
+                if let Some(store) = store {
+                    store.journal_verdict(kind, fp, clean);
+                }
+                clean
+            }
+        };
+        self.cache.insert(key.clone(), clean);
+        clean
+    }
+}
+
+/// The topology candidate lints and floors evaluate against: the node
+/// topology when placement search is active, else the plain device wrapped
+/// as a single-device node.
+fn lint_topology(topo: Option<&Topology>, dev: &DeviceSpec) -> Topology {
+    topo.cloned().unwrap_or_else(|| Topology::single(dev.clone()))
+}
+
 /// Running totals for one [`Astra::optimize`] call, threaded through every
 /// exploration phase.
 #[derive(Default)]
@@ -111,9 +193,9 @@ struct ExploreStats {
 /// order; the batch runner ([`Astra::run_batch`]) derives each trial's
 /// cache work plan (resume checkpoint + capture boundaries) from the
 /// batch's prefix trie, not here.
-struct Prepared {
-    sched: Schedule,
-    probes: Probes,
+pub(crate) struct Prepared {
+    pub(crate) sched: Schedule,
+    pub(crate) probes: Probes,
     salt: u64,
 }
 
@@ -121,13 +203,32 @@ struct Prepared {
 /// it (`None` for invalid or verify-rejected candidates).
 type TrialOut = Option<(RunResult, Probes)>;
 
+/// One measured attempt of a candidate, decoded by its phase.
+struct Trial {
+    total_ns: f64,
+    probe_records: usize,
+    faulted: bool,
+    /// `(variable index, metric)` in the phase's commit order.
+    metrics: Vec<(usize, f64)>,
+}
+
+impl Trial {
+    fn of(phase: &impl Phase, probes: &Probes, run: &RunResult) -> Self {
+        Trial {
+            total_ns: run.total_ns,
+            probe_records: probes.probe_records,
+            faulted: run.faults.any(),
+            metrics: phase.decode(probes, run),
+        }
+    }
+}
+
 /// One trial's predictor features for one *active* adaptive variable: the
-/// variable's tree id, its index in the phase's active-variable list, the
-/// choice this trial assigns, the extracted features, and the
-/// selection-time prediction (0 until the batch is scored, and forever in
-/// cold batches — a zero prediction is never counted toward the MAE).
+/// variable's index in its phase, the choice this trial assigns, the
+/// extracted features, and the selection-time prediction (0 until the
+/// batch is scored, and forever in cold batches — a zero prediction is
+/// never counted toward the MAE).
 struct VarFeat {
-    var: String,
     vidx: usize,
     choice: usize,
     feat: FeatureVec,
@@ -238,15 +339,35 @@ fn fold_best(
     }
 }
 
+/// Maps a predicted batch's per-candidate results to outcomes. A candidate
+/// without a result that still holds its slot was pruned; one the bound
+/// veto removed was vetoed; any other was invalid or rejected.
+fn outcomes(
+    slots: Vec<Option<Prepared>>,
+    results: Vec<TrialOut>,
+    vetoed: &[bool],
+    stats: &mut ExploreStats,
+) -> Vec<BatchOutcome> {
+    let mut outs = Vec::with_capacity(slots.len());
+    for (i, (slot, res)) in slots.into_iter().zip(results).enumerate() {
+        outs.push(match res {
+            Some((r, p)) => BatchOutcome::Measured(r, p),
+            None if slot.is_some() => {
+                stats.pruned += 1;
+                BatchOutcome::Pruned
+            }
+            None if vetoed[i] => BatchOutcome::BoundPruned,
+            None => BatchOutcome::Invalid,
+        });
+    }
+    outs
+}
+
 /// One prefix group's jobs and results: the member trials in group order,
 /// each tagged with its candidate index and pre-batch cache view.
 type GroupJob = Vec<(usize, Prepared, TrialBase)>;
 type GroupOut = (GroupShard, Vec<(usize, Result<TrialOut, AstraError>)>);
 
-/// Executes one prefix group sequentially: probe the group shard (layered
-/// over each trial's pre-batch base), simulate, absorb captures back into
-/// the shard. Runs unchanged on the caller's thread or a pool worker —
-/// everything it touches is owned by the job.
 /// The simulation substrate a trial group runs on: the device (or the
 /// full node topology when placement search is active), the clock mode,
 /// and the fault plan. One value per batch, shared by every group.
@@ -258,6 +379,36 @@ struct SimTarget<'a> {
     faults: FaultPlan,
 }
 
+impl SimTarget<'_> {
+    /// Simulates `sched` under fault salt `salt`, resuming from `resume`
+    /// when given and capturing at `caps`. A resumed run the engine
+    /// rejects as [`GpuError::InvalidSchedule`] — a checkpoint or memo
+    /// that does not belong to this schedule, from a prefix-hash collision
+    /// or a corrupt persisted memo — re-simulates cold instead of failing.
+    fn run(
+        &self,
+        sched: &Schedule,
+        salt: u64,
+        resume: Option<&EngineCheckpoint>,
+        caps: &[usize],
+    ) -> Result<(RunResult, Vec<EngineCheckpoint>), GpuError> {
+        let run = |resume| match self.topo {
+            Some(t) => Engine::with_topology(t, self.clock, self.faults, salt)
+                .run_incremental(sched, resume, caps),
+            None => Engine::with_faults(self.dev, self.clock, self.faults, salt)
+                .run_incremental(sched, resume, caps),
+        };
+        match run(resume) {
+            Err(GpuError::InvalidSchedule(_)) if resume.is_some() => run(None),
+            res => res,
+        }
+    }
+}
+
+/// Executes one prefix group sequentially: probe the group shard (layered
+/// over each trial's pre-batch base), simulate, absorb captures back into
+/// the shard. Runs unchanged on the caller's thread or a pool worker —
+/// everything it touches is owned by the job.
 fn run_group(
     members: GroupJob,
     sim: SimTarget<'_>,
@@ -273,15 +424,9 @@ fn run_group(
         } else {
             (None, Vec::new())
         };
-        let res = match sim.topo {
-            Some(t) => Engine::with_topology(t, sim.clock, sim.faults, p.salt)
-                .run_incremental(&p.sched, resume.as_deref(), &caps),
-            None => Engine::with_faults(sim.dev, sim.clock, sim.faults, p.salt)
-                .run_incremental(&p.sched, resume.as_deref(), &caps),
-        };
         runs.push((
             i,
-            match res {
+            match sim.run(&p.sched, p.salt, resume.as_deref(), &caps) {
                 Ok((r, captured)) => {
                     if use_cache {
                         shard.absorb(p.salt, captured);
@@ -382,14 +527,6 @@ pub struct AstraOptions {
     /// spent on it. Verdicts are cached per plan key and placement, so
     /// repeated geometries cost nothing. On by default.
     pub lint: bool,
-    /// Whether to rewrite every emitted candidate schedule without its
-    /// redundant event waits (see [`astra_lint::elide_redundant_syncs`])
-    /// before simulating. The rewrite is reachability-preserving (elided
-    /// schedules stay verify-clean) and keeps at least one wait per
-    /// non-empty wait list, so the engine charges the same sync
-    /// penalties and the simulated cost is bit-identical; only the
-    /// schedules get shorter. Off by default.
-    pub elide_syncs: bool,
     /// Whether sound critical-path lower bounds veto lookahead trials
     /// before simulation (see [`astra_lint::region_floors`]): a trial
     /// whose floor for *every* active variable strictly exceeds that
@@ -457,7 +594,6 @@ impl Default for AstraOptions {
             sim_cache: true,
             verify: true,
             lint: true,
-            elide_syncs: false,
             bound_prune: false,
             predictor: true,
             predictor_top_k: 2,
@@ -519,10 +655,6 @@ pub struct Report {
     /// quarantined before simulating. Zero with [`AstraOptions::lint`]
     /// off.
     pub lint_rejects: u64,
-    /// Redundant event waits elided from emitted candidate schedules
-    /// (summed over every prepared trial). Zero with
-    /// [`AstraOptions::elide_syncs`] off.
-    pub syncs_elided: u64,
     /// Lookahead trials vetoed by sound critical-path lower bounds
     /// instead of simulating — skipped *in addition to* the learned
     /// predictor's `trials_pruned`, with the final plan provably
@@ -613,24 +745,10 @@ pub struct Astra<'g> {
     index: ProfileIndex,
     plan_cache: PlanCache,
     sim_cache: SimCache,
-    /// Static-verification verdicts keyed by plan geometry and device
-    /// placement: a geometry's first emitted schedule under each placement
-    /// is analyzed once and the verdict reused for every later candidate
-    /// sharing both. (Placement changes the wiring — replicas, transfers,
-    /// collectives — without changing the unit geometry, so it must key
-    /// the verdict alongside the plan key.)
-    verify_cache: HashMap<(PlanKey, DevicePlacement), bool>,
-    /// Cumulative count of verifier executions (cache misses).
-    plans_verified: u64,
-    /// Cumulative count of rejected plans.
-    verify_rejects: u64,
-    /// Static-lint verdicts, keyed like `verify_cache` (peak memory
-    /// depends on both the unit geometry and the placement's wiring).
-    lint_cache: HashMap<(PlanKey, DevicePlacement), bool>,
-    /// Cumulative count of plans the linter rejected (over capacity).
-    lint_rejects: u64,
-    /// Cumulative count of redundant waits elided from emitted schedules.
-    syncs_elided: u64,
+    /// Static-verification (hazard) verdicts.
+    verify: Verdicts,
+    /// Static-lint (peak memory) verdicts.
+    lint: Verdicts,
     /// Monotonic fault-salt counter: every measured mini-batch gets the next
     /// salt, assigned in candidate order *before* a batch evaluates. Batch
     /// boundaries partition the same candidate sequence at every worker
@@ -663,12 +781,6 @@ pub struct Astra<'g> {
     /// Records quarantined at open (store-level corruption plus
     /// domain-validation drops).
     store_corrupt: u64,
-    /// Persisted verifier verdicts by plan fingerprint: consulted on a
-    /// `verify_cache` miss before running the verifier, never mutated
-    /// after load.
-    warm_verify: HashMap<u64, bool>,
-    /// Persisted linter verdicts, keyed like `warm_verify`.
-    warm_lint: HashMap<u64, bool>,
     /// Persisted quarantine marks whose fault fingerprint matches this
     /// optimizer's fault plan: candidates measured under these keys are
     /// poisoned without re-probing (the fault plan is deterministic, so
@@ -727,12 +839,8 @@ impl<'g> Astra<'g> {
             index,
             plan_cache: PlanCache::new(),
             sim_cache: SimCache::new(),
-            verify_cache: HashMap::new(),
-            plans_verified: 0,
-            verify_rejects: 0,
-            lint_cache: HashMap::new(),
-            lint_rejects: 0,
-            syncs_elided: 0,
+            verify: Verdicts::default(),
+            lint: Verdicts::default(),
             fault_seq: 0,
             pool: None,
             prefix_groups: 0,
@@ -742,8 +850,6 @@ impl<'g> Astra<'g> {
             warm_start: false,
             store_loaded: 0,
             store_corrupt: 0,
-            warm_verify: HashMap::new(),
-            warm_lint: HashMap::new(),
             warm_quarantine: HashSet::new(),
         };
         if let Some(dir) = astra.opts.store_dir.clone() {
@@ -771,8 +877,8 @@ impl<'g> Astra<'g> {
         for (key, ck) in warm.memos {
             self.sim_cache.seed(key, ck);
         }
-        self.warm_verify = warm.verify;
-        self.warm_lint = warm.lint;
+        self.verify.warm = warm.verify;
+        self.lint.warm = warm.lint;
         let fault_fp = self.fault_fp();
         for (key, fp) in warm.quarantine {
             if fp == fault_fp {
@@ -980,7 +1086,7 @@ impl<'g> Astra<'g> {
             }
             self.pool.get_or_insert_with(|| WorkerPool::new(workers)).run(boxed)
         } else {
-            let sim = SimTarget { dev: self.dev, topo: self.topo, clock, faults };
+            let sim = self.sim_target();
             jobs.into_iter()
                 .map(|job| run_group(job, sim, ctx, &branches, use_cache))
                 .collect()
@@ -1004,10 +1110,9 @@ impl<'g> Astra<'g> {
         results
     }
 
-    /// The topology fingerprint folded into predictor features (0 on the
-    /// plain single-device path).
-    fn topo_fp(&self) -> u64 {
-        self.topo.map_or(0, Topology::fingerprint)
+    /// This optimizer's simulation substrate.
+    fn sim_target(&self) -> SimTarget<'g> {
+        SimTarget { dev: self.dev, topo: self.topo, clock: self.opts.clock, faults: self.opts.faults }
     }
 
     /// Runs one prepared lookahead batch through the learned-predictor
@@ -1081,32 +1186,21 @@ impl<'g> Astra<'g> {
             // bound veto still composes — run the batch in candidate-order
             // chunks, fold each chunk's measured per-variable minima into
             // the running best, and re-test later chunks' floors against
-            // it. The chunk partition is a pure function of the batch
-            // length and decoding walks candidates in order, so outcomes
-            // are identical at any worker count.
+            // it (without floors, the whole batch is one chunk). The chunk
+            // partition is a pure function of the batch length and
+            // decoding walks candidates in order, so outcomes are
+            // identical at any worker count.
             let staged = bound_ok && bounds.iter().any(|b| !b.is_empty());
-            if !staged {
-                let mut outs = Vec::with_capacity(prepared.len());
-                for (i, r) in self.run_batch(prepared).into_iter().enumerate() {
-                    outs.push(match r? {
-                        Some((r, p)) => BatchOutcome::Measured(r, p),
-                        None if vetoed[i] => BatchOutcome::BoundPruned,
-                        None => BatchOutcome::Invalid,
-                    });
-                }
-                return Ok(outs);
-            }
             let n = prepared.len();
-            let chunk = 2.max(n / 8);
+            let chunk = if staged { 2.max(n / 8) } else { n.max(1) };
             let mut best = prior_best.clone();
             let mut slots = prepared;
             let mut results: Vec<TrialOut> = Vec::with_capacity(n);
             results.resize_with(n, || None);
-            let mut start = 0;
-            while start < n {
+            for start in (0..n).step_by(chunk) {
                 let end = (start + chunk).min(n);
                 for i in start..end {
-                    if slots[i].is_some() && bound_veto(feats, bounds, i, &best) {
+                    if staged && slots[i].is_some() && bound_veto(feats, bounds, i, &best) {
                         slots[i] = None;
                         vetoed[i] = true;
                         stats.bound_pruned += 1;
@@ -1119,21 +1213,13 @@ impl<'g> Astra<'g> {
                     .collect();
                 for (i, r) in self.run_batch(wave).into_iter().enumerate() {
                     let Some((run, probes)) = r? else { continue };
-                    let metrics = decode(&probes, &run);
-                    fold_best(&mut best, feats, i, &metrics);
+                    if staged {
+                        fold_best(&mut best, feats, i, &decode(&probes, &run));
+                    }
                     results[i] = Some((run, probes));
                 }
-                start = end;
             }
-            let mut outs = Vec::with_capacity(n);
-            for (i, res) in results.into_iter().enumerate() {
-                outs.push(match res {
-                    Some((r, p)) => BatchOutcome::Measured(r, p),
-                    None if vetoed[i] => BatchOutcome::BoundPruned,
-                    None => BatchOutcome::Invalid,
-                });
-            }
-            return Ok(outs);
+            return Ok(outcomes(slots, results, &vetoed, stats));
         }
 
         // Score every valid candidate with the current model.
@@ -1208,118 +1294,30 @@ impl<'g> Astra<'g> {
                 }
             }
         }
-
-        let mut outs = Vec::with_capacity(slots.len());
-        for (i, (slot, res)) in slots.into_iter().zip(results).enumerate() {
-            outs.push(match res {
-                Some((r, p)) => BatchOutcome::Measured(r, p),
-                None if slot.is_some() => {
-                    stats.pruned += 1;
-                    BatchOutcome::Pruned
-                }
-                None if vetoed[i] => BatchOutcome::BoundPruned,
-                None => BatchOutcome::Invalid,
-            });
-        }
-        Ok(outs)
-    }
-
-    /// Statically verifies a candidate's emitted schedule the first time
-    /// its plan key is seen, caching the verdict (libs and stream maps
-    /// share the key: they reshuffle a geometry the verifier has already
-    /// cleared or condemned). Returns whether the candidate may run; with
-    /// [`AstraOptions::verify`] off this is always `true` and free.
-    fn verify_candidate(&mut self, cfg: &ExecConfig, units: &[Unit], sched: &Schedule) -> bool {
-        if !self.opts.verify {
-            return true;
-        }
-        let key = (PlanCache::key(&self.ctx, cfg), cfg.placement.clone());
-        if let Some(&clean) = self.verify_cache.get(&key) {
-            return clean;
-        }
-        // Persisted verdicts answer before the verifier runs: the analysis
-        // is a pure function of the plan, so a stored verdict is as good
-        // as a fresh one (and costs nothing). Counters track verifier
-        // *executions*, so a warm hit moves none of them.
-        let fp = key.0.fingerprint(&key.1);
-        if let Some(&clean) = self.warm_verify.get(&fp) {
-            self.verify_cache.insert(key, clean);
-            return clean;
-        }
-        let workers = self.workers();
-        let report = crate::verify::verify_plan(&self.ctx, cfg, units, sched, workers);
-        self.plans_verified += 1;
-        let clean = report.is_clean();
-        if !clean {
-            self.verify_rejects += 1;
-        }
-        self.verify_cache.insert(key, clean);
-        if let Some(store) = self.store.as_mut() {
-            store.journal_verdict(VerdictKind::Verify, fp, clean);
-        }
-        clean
-    }
-
-    /// Statically lints a candidate's emitted schedule the first time its
-    /// plan key and placement are seen, caching the verdict. Only
-    /// error-severity findings (`lint-mem-capacity`) reject a plan;
-    /// advisories never block exploration. With [`AstraOptions::lint`]
-    /// off this is always `true` and free.
-    fn lint_candidate(&mut self, cfg: &ExecConfig, units: &[Unit], sched: &Schedule) -> bool {
-        if !self.opts.lint {
-            return true;
-        }
-        let key = (PlanCache::key(&self.ctx, cfg), cfg.placement.clone());
-        if let Some(&clean) = self.lint_cache.get(&key) {
-            return clean;
-        }
-        let fp = key.0.fingerprint(&key.1);
-        if let Some(&clean) = self.warm_lint.get(&fp) {
-            self.lint_cache.insert(key, clean);
-            return clean;
-        }
-        let report =
-            crate::verify::lint_plan(&self.ctx, cfg, units, sched, &self.lint_topology(), 1);
-        let clean = report.errors() == 0;
-        if !clean {
-            self.lint_rejects += 1;
-        }
-        self.lint_cache.insert(key, clean);
-        if let Some(store) = self.store.as_mut() {
-            store.journal_verdict(VerdictKind::Lint, fp, clean);
-        }
-        clean
+        Ok(outcomes(slots, results, &vetoed, stats))
     }
 
     /// Admission control for one prepared candidate: the static verifier
-    /// (hazards) then the static linter (resources). Rejections from
-    /// either quarantine the candidate before it simulates.
+    /// (hazards), then the static linter (resources: only error-severity
+    /// findings such as `lint-mem-capacity` reject). Each check runs once
+    /// per plan key and placement and its verdict is cached — libraries
+    /// and stream maps reshuffle a geometry a check already cleared or
+    /// condemned. A rejection quarantines the candidate before it
+    /// simulates; with a check off it always passes and costs nothing.
     fn admit_candidate(&mut self, cfg: &ExecConfig, units: &[Unit], sched: &Schedule) -> bool {
-        self.verify_candidate(cfg, units, sched) && self.lint_candidate(cfg, units, sched)
-    }
-
-    /// The topology candidate lints and floors evaluate against: the real
-    /// node topology when placement search is active, else the plain
-    /// device wrapped as a single-device node.
-    fn lint_topology(&self) -> Topology {
-        match self.topo {
-            Some(t) => t.clone(),
-            None => Topology::single(self.dev.clone()),
-        }
-    }
-
-    /// Applies redundant-sync elision to an emitted schedule when
-    /// [`AstraOptions::elide_syncs`] is on (counting the removed waits);
-    /// a no-op pass-through otherwise. Elision preserves the verifier's
-    /// verdict and the engine's simulated cost bit-for-bit, so it is
-    /// applied after admission and before the trial runs.
-    fn maybe_elide(&mut self, sched: Schedule) -> Schedule {
-        if !self.opts.elide_syncs {
-            return sched;
-        }
-        let (out, n) = astra_lint::elide_redundant_syncs(&sched);
-        self.syncs_elided += n as u64;
-        out
+        let key = (PlanCache::key(&self.ctx, cfg), cfg.placement.clone());
+        let ctx = &self.ctx;
+        let verified = !self.opts.verify
+            || self.verify.check(&key, VerdictKind::Verify, self.store.as_mut(), || {
+                let workers = effective_workers(self.opts.workers);
+                crate::verify::verify_plan(ctx, cfg, units, sched, workers).is_clean()
+            });
+        verified
+            && (!self.opts.lint
+                || self.lint.check(&key, VerdictKind::Lint, self.store.as_mut(), || {
+                    let topo = lint_topology(self.topo, self.dev);
+                    crate::verify::lint_plan(ctx, cfg, units, sched, &topo, 1).errors() == 0
+                }))
     }
 
     /// One simulated mini-batch through the sim cache: probe, run
@@ -1327,12 +1325,7 @@ impl<'g> Astra<'g> {
     /// playoff runs, and fault retries all come through here.
     fn sim_run(&mut self, sched: &Schedule, salt: u64) -> Result<RunResult, AstraError> {
         let (resume, caps) = self.sim_probe(sched, salt);
-        let (r, captured) = match self.topo {
-            Some(t) => Engine::with_topology(t, self.opts.clock, self.opts.faults, salt)
-                .run_incremental(sched, resume.as_deref(), &caps)?,
-            None => Engine::with_faults(self.dev, self.opts.clock, self.opts.faults, salt)
-                .run_incremental(sched, resume.as_deref(), &caps)?,
-        };
+        let (r, captured) = self.sim_target().run(sched, salt, resume.as_deref(), &caps)?;
         self.sim_absorb(salt, captured);
         Ok(r)
     }
@@ -1373,6 +1366,28 @@ impl<'g> Astra<'g> {
         Ok((best.expect("at least one attempt ran"), runs, spent))
     }
 
+    /// This optimizer's cumulative counters, snapshotted around a run.
+    fn counters(&self) -> Counters {
+        Counters {
+            plan_cache_hits: self.plan_cache.hits(),
+            plan_cache_misses: self.plan_cache.misses(),
+            sim_hits: self.sim_cache.hits(),
+            sim_misses: self.sim_cache.misses(),
+            sim_resumed_cmds: self.sim_cache.resumed_cmds(),
+            sim_total_cmds: self.sim_cache.total_cmds(),
+            sim_hit_depth: self.sim_cache.hit_depth(),
+            prefix_groups: self.prefix_groups,
+            plans_verified: self.verify.runs,
+            verify_rejects: self.verify.rejects,
+            lint_rejects: self.lint.rejects,
+            predictor_updates: self.pruner.updates(),
+            predictor_abs_err_ns: self.pruner.abs_err_ns,
+            predictor_err_samples: self.pruner.err_samples,
+            journal_appends: self.store.as_ref().map_or(0, DriverStore::journal_appends),
+            compactions: self.store.as_ref().map_or(0, DriverStore::compactions),
+        }
+    }
+
     /// Runs the full work-conserving exploration and returns the report.
     ///
     /// # Errors
@@ -1386,26 +1401,11 @@ impl<'g> Astra<'g> {
         let native_sched = native_schedule(&self.ctx.lowering);
         let (native, _, _) = self.measured_run(&native_sched, native_salt, &mut stats)?;
         let native_ns = native.total_ns;
-        let cache_hits0 = self.plan_cache.hits();
-        let cache_misses0 = self.plan_cache.misses();
-        let sim_hits0 = self.sim_cache.hits();
-        let sim_misses0 = self.sim_cache.misses();
-        let sim_resumed0 = self.sim_cache.resumed_cmds();
-        let sim_total0 = self.sim_cache.total_cmds();
-        let sim_depth0 = self.sim_cache.hit_depth();
-        let groups0 = self.prefix_groups;
-        let verified0 = self.plans_verified;
-        let rejects0 = self.verify_rejects;
-        let lint_rejects0 = self.lint_rejects;
-        let syncs_elided0 = self.syncs_elided;
-        let pred_upd0 = self.pruner.updates();
-        let pred_err0 = self.pruner.abs_err_ns;
-        let pred_errn0 = self.pruner.err_samples;
-        let journal0 = self.store.as_ref().map_or(0, DriverStore::journal_appends);
-        let compact0 = self.store.as_ref().map_or(0, DriverStore::compactions);
+        let c0 = self.counters();
 
         let dims = self.opts.dims;
         let strategies = if dims.alloc { self.ctx.alloc.strategies.len() } else { 1 };
+        let bucket_ctx = self.opts.key_context.clone();
 
         let mut best_overall: Option<(f64, ExecConfig, usize, Vec<f64>)> = None;
 
@@ -1413,20 +1413,44 @@ impl<'g> Astra<'g> {
             let mut cfg = ExecConfig::baseline();
             cfg.strategy = strategy;
             let strat_ctx = (strategies > 1).then(|| format!("alloc:{strategy}"));
+            let cx = Contexts { strat: strat_ctx.as_deref(), bucket: bucket_ctx.as_deref() };
 
             if dims.fusion {
-                self.explore_fusion(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+                if let Some(p) = FusionPhase::new(&self.ctx, &self.index, &mut cfg, cx) {
+                    self.explore_phase(&p, &mut cfg, &mut stats)?;
+                }
             }
             if dims.kernel {
-                self.explore_kernels(&mut cfg, &mut stats)?;
+                let units = self.plan_cache.units_for(&self.ctx, &cfg)?;
+                if let Some(p) = KernelPhase::new(&units, &self.index, &mut cfg) {
+                    self.explore_phase(&p, &mut cfg, &mut stats)?;
+                }
             }
             let mut partition = None;
             if dims.streams {
-                partition = self.explore_streams(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+                cfg.num_streams = self.opts.num_streams.max(2);
+                let units = self.plan_cache.units_for(&self.ctx, &cfg)?;
+                let total_flops: f64 = units.iter().map(|u| u.flops).sum();
+                let budget = self.opts.super_epoch_flops.unwrap_or(total_flops / 8.0).max(1.0);
+                let part = partition_units(&units, budget);
+                if let Some(p) = StreamPhase::new(units, &part, &mut cfg, cx) {
+                    self.explore_phase(&p, &mut cfg, &mut stats)?;
+                }
+                partition = Some(part);
             }
             // Phase P: placement across the node's devices (no-op without a
             // multi-device topology).
-            self.explore_placements(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+            if let Some(topo) = self.topo.filter(|t| t.is_multi()) {
+                let units = self.plan_cache.units_for(&self.ctx, &cfg)?;
+                let candidates = placement_candidates(topo, &units);
+                stats.placements = stats.placements.max(candidates.len());
+                let (ctx, index) = (&self.ctx, &self.index);
+                if let Some(p) =
+                    PlacementPhase::new(ctx, index, &mut cfg, topo, units, candidates, cx)
+                {
+                    self.explore_phase(&p, &mut cfg, &mut stats)?;
+                }
+            }
 
             // Context playoff run: best configuration end-to-end (§4.7).
             // Bounded fault retries keep the strategy comparison honest — a
@@ -1442,7 +1466,6 @@ impl<'g> Astra<'g> {
                 stats.quarantined += 1;
                 continue;
             }
-            let sched = self.maybe_elide(sched);
             let salt = self.fault_seq;
             self.fault_seq += 1;
             let (r, runs, spent) = self.measured_run(&sched, salt, &mut stats)?;
@@ -1459,10 +1482,11 @@ impl<'g> Astra<'g> {
         }
 
         let Some((steady_ns, best, super_epochs, device_utilization)) = best_overall else {
+            let c1 = self.counters();
             return Err(AstraError::AllPlansRejected(format!(
                 "{} verify reject(s), {} lint reject(s) across {strategies} strategies",
-                self.verify_rejects - rejects0,
-                self.lint_rejects - lint_rejects0,
+                c1.verify_rejects - c0.verify_rejects,
+                c1.lint_rejects - c0.lint_rejects,
             )));
         };
         let cost_per_throughput = match self.topo {
@@ -1475,6 +1499,7 @@ impl<'g> Astra<'g> {
         if let Some(store) = self.store.as_mut() {
             store.finish_run(self.pruner.export_models());
         }
+        let c1 = self.counters();
         Ok(Report {
             native_ns,
             steady_ns,
@@ -1489,1296 +1514,228 @@ impl<'g> Astra<'g> {
             strategies_explored: strategies,
             fusion_sets: self.ctx.sets.len(),
             super_epochs,
-            plan_cache_hits: self.plan_cache.hits() - cache_hits0,
-            plan_cache_misses: self.plan_cache.misses() - cache_misses0,
+            plan_cache_hits: c1.plan_cache_hits - c0.plan_cache_hits,
+            plan_cache_misses: c1.plan_cache_misses - c0.plan_cache_misses,
             fault_events: stats.fault_events,
             retries: stats.retries,
             quarantined: stats.quarantined,
-            plans_verified: self.plans_verified - verified0,
-            verify_rejects: self.verify_rejects - rejects0,
-            lint_rejects: self.lint_rejects - lint_rejects0,
-            syncs_elided: self.syncs_elided - syncs_elided0,
+            plans_verified: c1.plans_verified - c0.plans_verified,
+            verify_rejects: c1.verify_rejects - c0.verify_rejects,
+            lint_rejects: c1.lint_rejects - c0.lint_rejects,
             bound_pruned: stats.bound_pruned,
-            sim_cache_hits: self.sim_cache.hits() - sim_hits0,
-            sim_cache_misses: self.sim_cache.misses() - sim_misses0,
+            sim_cache_hits: c1.sim_hits - c0.sim_hits,
+            sim_cache_misses: c1.sim_misses - c0.sim_misses,
             resumed_fraction: {
-                let total = self.sim_cache.total_cmds() - sim_total0;
+                let total = c1.sim_total_cmds - c0.sim_total_cmds;
                 if total == 0 {
                     0.0
                 } else {
-                    (self.sim_cache.resumed_cmds() - sim_resumed0) as f64 / total as f64
+                    (c1.sim_resumed_cmds - c0.sim_resumed_cmds) as f64 / total as f64
                 }
             },
-            sim_cache_hit_depth: {
-                let now = self.sim_cache.hit_depth();
-                std::array::from_fn(|b| now[b] - sim_depth0[b])
-            },
-            prefix_group_count: self.prefix_groups - groups0,
+            sim_cache_hit_depth: std::array::from_fn(|b| c1.sim_hit_depth[b] - c0.sim_hit_depth[b]),
+            prefix_group_count: c1.prefix_groups - c0.prefix_groups,
             device_utilization,
             cost_per_throughput,
             placements_explored: stats.placements,
             trials_pruned: stats.pruned,
-            predictor_updates: self.pruner.updates() - pred_upd0,
+            predictor_updates: c1.predictor_updates - c0.predictor_updates,
             predicted_vs_measured_mae: {
-                let n = self.pruner.err_samples - pred_errn0;
+                let n = c1.predictor_err_samples - c0.predictor_err_samples;
                 if n == 0 {
                     0.0
                 } else {
-                    (self.pruner.abs_err_ns - pred_err0) / n as f64
+                    (c1.predictor_abs_err_ns - c0.predictor_abs_err_ns) / n as f64
                 }
             },
             warm_start: self.warm_start,
             store_loaded_keys: self.store_loaded,
             store_corrupt_records: self.store_corrupt,
-            store_journal_appends: self
-                .store
-                .as_ref()
-                .map_or(0, DriverStore::journal_appends)
-                .saturating_sub(journal0),
-            store_compactions: self
-                .store
-                .as_ref()
-                .map_or(0, DriverStore::compactions)
-                .saturating_sub(compact0),
+            store_journal_appends: c1.journal_appends.saturating_sub(c0.journal_appends),
+            store_compactions: c1.compactions.saturating_sub(c0.compactions),
         })
     }
 
-    /// Phase P: placement exploration across the node's devices. The
-    /// candidate placements — single-device, data-parallel batch splits
-    /// (equal and, on heterogeneous mixes, capability-proportional), and
-    /// layer-wise model-parallel cuts — form one parallel adaptive
-    /// variable, explored through the same lookahead / batched /
-    /// cache-aware trial machinery as the other phases. The metric is the
-    /// whole mini-batch time; profile keys fold the topology fingerprint
-    /// so a shared index never leaks timings across device mixes.
-    fn explore_placements(
+    /// The units one attempt of a candidate runs on: under a transient
+    /// allocation failure (`alloc_fault`, a salt-determined draw, so a
+    /// degraded placement is known up front) the fragmented build, made
+    /// outside the schedule cache so the clean geometry stays cached;
+    /// otherwise the candidate's clean units. `None` marks an invalid
+    /// (cyclic) geometry.
+    fn attempt_units(
+        &self,
+        cfg: &ExecConfig,
+        clean: &Option<Arc<[Unit]>>,
+        alloc_fault: Option<u64>,
+    ) -> Option<Arc<[Unit]>> {
+        match alloc_fault {
+            Some(word) => build_units_fragmented(&self.ctx, cfg, word).ok().map(Arc::from),
+            None => clean.clone(),
+        }
+    }
+
+    /// Explores one phase's update tree to completion and applies the best
+    /// assignment to `cfg` — the custom wirer's loop (§4.7), shared by every
+    /// [`Phase`].
+    ///
+    /// Each round peels a lookahead batch of metric-independent trials off
+    /// the tree, pre-assigns one fault salt per candidate (in candidate
+    /// order, so injected faults are worker-count invariant), and prepares
+    /// the candidates sequentially: unit selection, emission, and
+    /// verify/lint admission (rejected candidates are quarantined before
+    /// simulating). The batch then runs through the predictor/bound
+    /// pruning pipeline, and outcomes commit in candidate order — the tree
+    /// and the profile index see exactly the sequential driver's updates:
+    ///
+    /// * invalid or rejected candidates poison their choices;
+    /// * pruned ones record their predicted (or proven-floor) metrics;
+    /// * measured ones commit once clean. A run that reported a fault, or
+    ///   whose metric is an outlier against its key's history, re-measures
+    ///   under the candidate's salt at the next attempt index
+    ///   (deterministic backoff, through the sim cache); still suspect
+    ///   after [`MAX_FAULT_RETRIES`], the candidate is quarantined: the
+    ///   tree sees +inf for its choices (so the best known configuration
+    ///   wins) and the profile index keeps no sample. Candidates carrying a
+    ///   persisted quarantine mark under this fault plan skip the retry
+    ///   budget and are poisoned directly.
+    fn explore_phase<P: Phase>(
         &mut self,
+        phase: &P,
         cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
         stats: &mut ExploreStats,
     ) -> Result<(), AstraError> {
-        let Some(topo) = self.topo else { return Ok(()) };
-        if !topo.is_multi() {
-            return Ok(());
-        }
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let candidates = placement_candidates(topo, &units);
-        stats.placements = stats.placements.max(candidates.len());
-        if candidates.len() <= 1 {
-            return Ok(());
-        }
-
-        let bucket_ctx = self.opts.key_context.clone();
-        let fp = topo.fingerprint();
-        let strat_owned = strat_ctx.map(str::to_owned);
-        let key_for = move |choice: usize| {
-            let mut k = ProfileKey::entity(format!("place:{fp:016x}"), choice);
-            if let Some(c) = &strat_owned {
-                k = k.in_context(c.clone());
-            }
-            if let Some(b) = &bucket_ctx {
-                k = k.in_context(b.clone());
-            }
-            k
-        };
-
-        let all_hit = (0..candidates.len()).all(|c| self.index.contains(&key_for(c)));
-        if all_hit {
-            let (best, _) = self
-                .index
-                .best_choice(&key_for, candidates.len())
-                .expect("all hits implies a best");
-            cfg.placement = candidates[best].clone();
-            return Ok(());
-        }
-
-        let mut tree = UpdateTree::new(UpdateNode::group(
-            ExploreMode::Parallel,
-            vec![UpdateNode::var("placement".to_owned(), candidates.len())],
-        ));
-        let sync_bytes = gradient_sync_bytes(self.ctx.graph);
+        let vars = phase.vars();
+        let poison_all = |tree: &mut UpdateTree| vars.iter().for_each(|id| tree.poison(id));
+        let mut tree = UpdateTree::new(phase.root());
         let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
+        let bound_topo = self.opts.bound_prune.then(|| lint_topology(self.topo, self.dev));
+        // Predictor features fold the topology fingerprint (0 on the plain
+        // single-device path).
+        let fp_self = self.topo.map_or(0, Topology::fingerprint);
 
         loop {
             let batch = tree.lookahead(LOOKAHEAD_TRIALS);
             if batch.is_empty() {
                 break;
             }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    c.placement = candidates[asg["placement"]].clone();
-                    c
-                })
-                .collect();
+            let cfgs: Vec<ExecConfig> = batch.iter().map(|asg| phase.cfg_for(cfg, asg)).collect();
+            let workers = self.workers();
+            let clean = phase.clean_units(&self.ctx, &mut self.plan_cache, &cfgs, workers)?;
 
             let salt0 = self.fault_seq;
             self.fault_seq += batch.len() as u64;
 
-            // Sequential prepare in candidate order: placements share the
-            // unit geometry, so every trial is a schedule-cache hit and
-            // only the wiring differs.
             let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
             for (i, c) in cfgs.iter().enumerate() {
                 let salt = salt0 + i as u64;
                 let alloc_fault = self.opts.faults.alloc_event(salt);
-                let frag;
-                let units_run: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
-                    }
-                    None => &units,
+                let Some(units) = self.attempt_units(c, &clean[i], alloc_fault) else {
+                    prepared.push(None);
+                    continue;
                 };
                 let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units_run, None, &ProbeSpec::none());
-                if alloc_fault.is_none() && !self.admit_candidate(c, units_run, &sched) {
+                    emit_schedule(&self.ctx, c, &units, phase.partition(), phase.probe_spec());
+                // Fragmented (fault-degraded) geometries skip admission:
+                // their placements differ from the clean plan the cached
+                // verdicts are keyed on.
+                if alloc_fault.is_none() && !self.admit_candidate(c, &units, &sched) {
                     stats.quarantined += 1;
                     prepared.push(None);
                     continue;
                 }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
+                prepared.push(Some(Prepared { sched, probes, salt }));
             }
 
-            // Whole-run lower bound per candidate: the placement metric is
-            // the mini-batch time itself, so the critical-path floor over
-            // the emitted wiring bounds it directly.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            vec![(0, astra_lint::critical_path_floor(&p.sched, t, &|_, _| None))]
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = cfgs
-                .iter()
-                .zip(&prepared)
-                .zip(&batch)
-                .map(|((c, p), asg)| {
-                    p.as_ref().map(|_| {
-                        vec![VarFeat {
-                            var: "placement".to_owned(),
-                            vidx: 0,
-                            choice: asg["placement"],
-                            feat: placement_features(c, fp_self, &units, sync_bytes),
-                            pred: 0.0,
-                        }]
-                    })
-                })
-                .collect();
-
-            let outcomes = self.run_batch_predicted(
-                "place",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |_, r| vec![(0, r.total_ns)],
-                stats,
-            )?;
-
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let (r, _) = match outcome {
-                    BatchOutcome::Invalid => {
-                        tree.poison("placement");
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, p) => (r, p),
-                };
-                let pkey = key_for(asg["placement"]);
-                if self.warm_quarantine.contains(&pkey) {
-                    // Persisted mark under this exact fault plan: the
-                    // failures are deterministic, so skip the retry budget
-                    // and poison directly.
-                    stats.quarantined += 1;
-                    tree.poison("placement");
-                    continue;
-                }
-                let mut total = r.total_ns;
-                let mut faulted = r.faults.any();
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += total;
-                    if faulted {
-                        stats.fault_events += 1;
-                    }
-                    let suspect = faulted || is_outlier(&self.index, &pkey, total);
-                    if !suspect {
-                        tree.record("placement", total);
-                        self.commit_sample(&pkey, total);
-                        if let Some(vf) = feats[bi].iter().flatten().next() {
-                            self.pruner.observe("place", &vf.feat, vf.pred, total);
-                        }
-                        let choice = asg["placement"];
-                        let e = best_measured.entry(0).or_insert((f64::INFINITY, choice));
-                        if total < e.0 {
-                            *e = (total, choice);
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
-                        break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &units,
-                    };
-                    let (sched, _) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, None, &ProbeSpec::none());
-                    let sched = self.maybe_elide(sched);
-                    let r = self.sim_run(&sched, rsalt)?;
-                    total = r.total_ns;
-                    faulted = r.faults.any();
-                };
-                if !committed {
-                    stats.quarantined += 1;
-                    tree.poison("placement");
-                    self.journal_quarantine(&pkey);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        cfg.placement = candidates[best["placement"]].clone();
-        Ok(())
-    }
-
-    /// Phase F: parallel exploration of per-set chunk choices.
-    fn explore_fusion(
-        &mut self,
-        cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
-        stats: &mut ExploreStats,
-    ) -> Result<(), AstraError> {
-        // Choice list per set: cartesian (row chunk, col chunk).
-        type ChoiceList = (String, Vec<(usize, usize)>, bool);
-        let mut choice_lists: Vec<ChoiceList> = Vec::new();
-        for set in &self.ctx.sets {
-            let mut choices = Vec::new();
-            for &rc in &set.row_chunks() {
-                for &cc in &set.col_chunks() {
-                    choices.push((rc, cc));
-                }
-            }
-            let ctx_dependent = self.ctx.alloc.conflicted_sets.contains(&set.id);
-            choice_lists.push((set.id.clone(), choices, ctx_dependent));
-        }
-
-        let bucket_ctx = self.opts.key_context.clone();
-        let key_for = move |set_id: &str, ctx_dep: bool, choice: usize| {
-            let mut k = ProfileKey::entity(format!("fuse:{set_id}"), choice);
-            if let (true, Some(c)) = (ctx_dep, strat_ctx) {
-                k = k.in_context(c.to_owned());
-            }
-            if let Some(b) = &bucket_ctx {
-                k = k.in_context(b.clone());
-            }
-            k
-        };
-
-        // Sets whose every choice is already indexed (from a previous
-        // strategy) need no re-exploration: pick best from the index.
-        let mut vars = Vec::new();
-        let mut explored_sets = Vec::new();
-        for (set_id, choices, ctx_dep) in &choice_lists {
-            let all_hit = choices
-                .iter()
-                .enumerate()
-                .all(|(ci, _)| self.index.contains(&key_for(set_id, *ctx_dep, ci)));
-            if all_hit {
-                let (best_ci, _) = self
-                    .index
-                    .best_choice(|c| key_for(set_id, *ctx_dep, c), choices.len())
-                    .expect("all hits implies a best");
-                cfg.chunks.insert(set_id.clone(), choices[best_ci]);
-            } else {
-                vars.push(UpdateNode::var(set_id.clone(), choices.len()));
-                explored_sets.push((set_id.clone(), choices.clone(), *ctx_dep));
-            }
-        }
-        if vars.is_empty() {
-            return Ok(());
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, vars));
-        let workers = self.workers();
-
-        // Fusion-set index (into `ctx.sets`) → active-variable index, for
-        // mapping probe metrics to predictor variables.
-        let mut si_vidx: BTreeMap<usize, usize> = BTreeMap::new();
-        for (vidx, (set_id, _, _)) in explored_sets.iter().enumerate() {
-            if let Some(si) = self.ctx.sets.iter().position(|s| s.id == *set_id) {
-                si_vidx.insert(si, vidx);
-            }
-        }
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        // A valid candidate's harvested measurements, computed on a worker.
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            set_metrics: Vec<(usize, f64)>,
-        }
-
-        loop {
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    for (set_id, choices, _) in &explored_sets {
-                        c.chunks.insert(set_id.clone(), choices[asg[set_id]]);
-                    }
-                    c
-                })
-                .collect();
-
-            // Schedule-cache bookkeeping happens in candidate order so the
-            // hit/miss counters are deterministic, then the batch's missing
-            // geometries build on the worker pool.
-            let keys: Vec<PlanKey> = cfgs.iter().map(|c| PlanCache::key(&self.ctx, c)).collect();
-            let mut to_build: Vec<usize> = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                if self.plan_cache.contains(key) || to_build.iter().any(|&j| keys[j] == *key) {
-                    self.plan_cache.count_hit();
-                } else {
-                    self.plan_cache.count_miss();
-                    to_build.push(i);
-                }
-            }
-            let ctx = &self.ctx;
-            let built = parallel_map(workers, &to_build, |_, &i| {
-                PlanCache::build_structural(ctx, &cfgs[i])
-            });
-            for (&i, r) in to_build.iter().zip(built) {
-                self.plan_cache.insert(keys[i].clone(), r);
-            }
-
-            // One salt per candidate, assigned in candidate order before the
-            // batch evaluates: the injected faults are worker-count
-            // invariant. Retries re-use the candidate's salt with an attempt
-            // index, consuming no further sequence numbers.
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare, in candidate order: select this salt's
-            // unit geometry (the alloc-fault draw is salt-determined, so a
-            // degraded placement is known up front) and emit the schedule.
-            // `None` marks an invalid (cyclic) or verify-rejected
-            // combination.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                let units: Option<Arc<[Unit]>> = match alloc_fault {
-                    // Transient allocation failure: this run sees the
-                    // degraded, fragmented placement. Built outside the
-                    // schedule cache so the clean geometry stays cached.
-                    Some(word) => build_units_fragmented(&self.ctx, c, word).ok().map(Arc::from),
-                    None => match self.plan_cache.get(&keys[i]).expect("batch keys are built") {
-                        Err(_) => None,
-                        Ok(u) => Some(bind_libs(u, c)),
-                    },
-                };
-                let trial = match units {
-                    None => None,
-                    Some(u) => {
-                        let (sched, probes) =
-                            emit_schedule(&self.ctx, c, &u, None, &ProbeSpec::fusion_sets());
-                        // Fragmented (fault-degraded) geometries skip the
-                        // verifier: their placements differ from the clean
-                        // plan the cached verdict would be keyed on.
-                        if alloc_fault.is_none() && !self.admit_candidate(c, &u, &sched) {
-                            stats.quarantined += 1;
-                            None
-                        } else {
-                            Some(Prepared { sched: self.maybe_elide(sched), probes, salt })
-                        }
-                    }
-                };
-                prepared.push(trial);
-            }
-
-            let set_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<(usize, f64)> {
-                let mut m = Vec::new();
-                for (si, nblocks, start, end) in &probes.set_regions {
-                    if let Some(dt) = r.elapsed(*start, *end) {
-                        m.push((*si, dt.max(0.0) * *nblocks as f64));
-                    }
-                }
-                m
-            };
-
-            // Per-set metric floors: the probe-region floor scaled by the
-            // same block count the measured metric is scaled by.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let regions: Vec<_> =
-                                p.probes.set_regions.iter().map(|&(_, _, s, e)| (s, e)).collect();
-                            let floors =
-                                astra_lint::region_floors(&p.sched, &regions, t, &|_, _| None);
-                            p.probes
-                                .set_regions
-                                .iter()
-                                .zip(floors)
-                                .filter_map(|(&(si, nb, _, _), f)| {
-                                    si_vidx.get(&si).map(|&v| (v, f * nb as f64))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            // Per-trial predictor features: one entry per explored set,
-            // in active-variable order.
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
-                feats.push(p.as_ref().map(|_| {
-                    explored_sets
-                        .iter()
-                        .enumerate()
-                        .map(|(vidx, (set_id, choices, _))| {
-                            let (rc, cc) = choices[asg[set_id]];
-                            let set = self
-                                .ctx
-                                .sets
-                                .iter()
-                                .find(|s| s.id == *set_id)
-                                .expect("explored sets come from the enumeration");
-                            VarFeat {
-                                var: set_id.clone(),
-                                vidx,
-                                choice: asg[set_id],
-                                feat: fusion_features(c, fp_self, set, rc, cc),
-                                pred: 0.0,
-                            }
-                        })
-                        .collect()
-                }));
-            }
-
-            // Fan the prepared batch out through the cache-aware runner
-            // (prefix-grouped order, per-group shards, persistent pool),
-            // pruning predicted-slow candidates once the model is warm.
-            let outcomes = self.run_batch_predicted(
-                "fuse",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    set_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(si, m)| si_vidx.get(&si).map(|&v| (v, m)))
-                        .collect()
-                },
-                stats,
-            )?;
-
-            // Commit measurements in candidate order: the tree and the
-            // profile index see exactly the sequential driver's updates.
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
-                    BatchOutcome::Invalid => {
-                        // Invalid or verify-rejected combination: poison
-                        // these choices.
-                        for (set_id, _, _) in &explored_sets {
-                            tree.poison(set_id);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted set metrics (or proven floors);
-                        // either way every recorded value is strictly above
-                        // the committed measured best.
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        set_metrics: set_metrics_of(&probes, &r),
-                    },
-                };
-                let qid = quarantine_id(
-                    "fuse",
-                    explored_sets.iter().map(|(id, _, ctx_dep)| key_for(id, *ctx_dep, asg[id])),
-                );
-                if self.warm_quarantine.contains(&qid) {
-                    stats.quarantined += 1;
-                    for (set_id, _, _) in &explored_sets {
-                        tree.poison(set_id);
-                    }
-                    continue;
-                }
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
-                        stats.fault_events += 1;
-                    }
-                    // Probe regions are single-stream and interference-free,
-                    // so a measurement far above the key's recorded minimum
-                    // is noise even when the run reported no fault.
-                    let suspect = o.faulted
-                        || o.set_metrics.iter().any(|&(si, metric)| {
-                            let set_id = &self.ctx.sets[si].id;
-                            explored_sets.iter().any(|(id, _, ctx_dep)| {
-                                id == set_id
-                                    && is_outlier(
-                                        &self.index,
-                                        &key_for(set_id, *ctx_dep, asg[set_id]),
-                                        metric,
-                                    )
-                            })
-                        });
-                    if !suspect {
-                        for (si, metric) in o.set_metrics {
-                            let set_id = &self.ctx.sets[si].id;
-                            tree.record(set_id, metric);
-                            if let Some((_, _, ctx_dep)) =
-                                explored_sets.iter().find(|(id, _, _)| id == set_id)
-                            {
-                                let key = key_for(set_id, *ctx_dep, asg[set_id]);
-                                self.commit_sample(&key, metric);
-                            }
-                            if let (Some(&v), Some(fs)) =
-                                (si_vidx.get(&si), feats[bi].as_ref())
-                            {
-                                let vf = &fs[v];
-                                self.pruner.observe("fuse", &vf.feat, vf.pred, metric);
-                                let e =
-                                    best_measured.entry(v).or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
-                                }
-                            }
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
-                        break false;
-                    }
-                    // Deterministic backoff: the retry re-measures under the
-                    // candidate's salt at the next attempt index,
-                    // sequentially and through the sim cache.
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let units: Option<Arc<[Unit]>> = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            build_units_fragmented(&self.ctx, &cfgs[bi], word).ok().map(Arc::from)
-                        }
-                        None => match self.plan_cache.get(&keys[bi]).expect("batch keys are built")
-                        {
-                            Err(_) => None,
-                            Ok(u) => Some(bind_libs(u, &cfgs[bi])),
-                        },
-                    };
-                    match units {
-                        None => break false,
-                        Some(u) => {
-                            let (sched, probes) =
-                                emit_schedule(&self.ctx, &cfgs[bi], &u, None, &ProbeSpec::fusion_sets());
-                            let sched = self.maybe_elide(sched);
-                            let r = self.sim_run(&sched, rsalt)?;
-                            o = Outcome {
-                                total_ns: r.total_ns,
-                                probe_records: probes.probe_records,
-                                faulted: r.faults.any(),
-                                set_metrics: set_metrics_of(&probes, &r),
-                            };
-                        }
-                    }
-                };
-                if !committed {
-                    // Still faulted after the retry budget: quarantine. The
-                    // update tree sees +inf for these choices (so the best
-                    // known configuration wins), and the profile index keeps
-                    // no sample, leaving the candidate re-measurable later.
-                    stats.quarantined += 1;
-                    for (set_id, _, _) in &explored_sets {
-                        tree.poison(set_id);
-                    }
-                    self.journal_quarantine(&qid);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        for (set_id, choices, _) in &explored_sets {
-            cfg.chunks.insert(set_id.clone(), choices[best[set_id]]);
-        }
-        Ok(())
-    }
-
-    /// Phase K: parallel exploration of kernel libraries per realized shape.
-    fn explore_kernels(
-        &mut self,
-        cfg: &mut ExecConfig,
-        stats: &mut ExploreStats,
-    ) -> Result<(), AstraError> {
-        let libs = GemmLibrary::all();
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let mut shapes: Vec<GemmShape> = units.iter().filter_map(|u| u.gemm_shape).collect();
-        shapes.sort_unstable();
-        shapes.dedup();
-
-        // Kernel timings depend only on (shape, lib): context-free keys.
-        let key_for =
-            |shape: &GemmShape, choice: usize| ProfileKey::entity(format!("kern:{shape}"), choice);
-
-        let mut vars = Vec::new();
-        let mut explored: Vec<GemmShape> = Vec::new();
-        for shape in &shapes {
-            let all_hit = (0..libs.len()).all(|c| self.index.contains(&key_for(shape, c)));
-            if all_hit {
-                let (ci, _) = self
-                    .index
-                    .best_choice(|c| key_for(shape, c), libs.len())
-                    .expect("all hits");
-                cfg.libs.insert(*shape, libs[ci]);
-            } else {
-                vars.push(UpdateNode::var(format!("{shape}"), libs.len()));
-                explored.push(*shape);
-            }
-        }
-        if vars.is_empty() {
-            return Ok(());
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, vars));
-
-        // Realized GEMM shape → active-variable index for the predictor.
-        let shape_vidx: BTreeMap<GemmShape, usize> =
-            explored.iter().enumerate().map(|(v, s)| (*s, v)).collect();
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            shape_metrics: Vec<(GemmShape, f64)>,
-        }
-
-        loop {
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    for shape in &explored {
-                        c.libs.insert(*shape, libs[asg[&format!("{shape}")]]);
-                    }
-                    c
-                })
-                .collect();
-            // Library trials share one chunk geometry: every request after
-            // the phase's first is a schedule-cache hit, and bind_libs
-            // patches the per-candidate library choices in.
-            let mut bound = Vec::with_capacity(cfgs.len());
-            for c in &cfgs {
-                bound.push(self.plan_cache.units_for(&self.ctx, c)?);
-            }
-
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare in candidate order: emit each schedule.
-            // Library trials share a prefix up to the first differing
-            // GEMM, so late-differing candidates resume deep into the
-            // common geometry once the batch runner groups them.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                let frag;
-                let units: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
-                    }
-                    None => &bound[i],
-                };
-                let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units, None, &ProbeSpec::gemm_shapes());
-                if alloc_fault.is_none() && !self.admit_candidate(c, units, &sched) {
-                    stats.quarantined += 1;
-                    prepared.push(None);
-                    continue;
-                }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
-            }
-
-            let shape_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<(GemmShape, f64)> {
-                let mut m = Vec::new();
-                for (shape, start, end) in &probes.shape_regions {
-                    if let Some(dt) = r.elapsed(*start, *end) {
-                        m.push((*shape, dt.max(0.0)));
-                    }
-                }
-                m
-            };
-
-            // Per-shape metric floors over the probe regions.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let regions: Vec<_> =
-                                p.probes.shape_regions.iter().map(|&(_, s, e)| (s, e)).collect();
-                            let floors =
-                                astra_lint::region_floors(&p.sched, &regions, t, &|_, _| None);
-                            p.probes
-                                .shape_regions
-                                .iter()
-                                .zip(floors)
-                                .filter_map(|(&(sh, _, _), f)| {
-                                    shape_vidx.get(&sh).map(|&v| (v, f))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            // Per-trial predictor features: one entry per explored shape,
-            // in active-variable order.
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
-                feats.push(p.as_ref().map(|_| {
-                    explored
-                        .iter()
-                        .enumerate()
-                        .map(|(vidx, shape)| {
-                            let choice = asg[&format!("{shape}")];
-                            VarFeat {
-                                var: format!("{shape}"),
-                                vidx,
-                                choice,
-                                feat: kernel_features(c, fp_self, *shape, libs[choice]),
-                                pred: 0.0,
-                            }
-                        })
-                        .collect()
-                }));
-            }
-
-            let outcomes = self.run_batch_predicted(
-                "kern",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    shape_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(s, m)| shape_vidx.get(&s).map(|&v| (v, m)))
-                        .collect()
-                },
-                stats,
-            )?;
-
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
-                    BatchOutcome::Invalid => {
-                        // Verify-rejected candidate: poison its choices.
-                        for shape in &explored {
-                            tree.poison(&format!("{shape}"));
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted per-shape metrics (or proven
-                        // floors); every recorded value is strictly above
-                        // the committed measured best.
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        shape_metrics: shape_metrics_of(&probes, &r),
-                    },
-                };
-                let qid = quarantine_id(
-                    "kern",
-                    explored.iter().map(|shape| key_for(shape, asg[&format!("{shape}")])),
-                );
-                if self.warm_quarantine.contains(&qid) {
-                    stats.quarantined += 1;
-                    for shape in &explored {
-                        tree.poison(&format!("{shape}"));
-                    }
-                    continue;
-                }
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
-                        stats.fault_events += 1;
-                    }
-                    let suspect = o.faulted
-                        || o.shape_metrics.iter().any(|(shape, metric)| {
-                            explored.contains(shape)
-                                && is_outlier(
-                                    &self.index,
-                                    &key_for(shape, asg[&format!("{shape}")]),
-                                    *metric,
-                                )
-                        });
-                    if !suspect {
-                        for (shape, metric) in o.shape_metrics {
-                            let id = format!("{shape}");
-                            tree.record(&id, metric);
-                            if explored.contains(&shape) {
-                                let key = key_for(&shape, asg[&id]);
-                                self.commit_sample(&key, metric);
-                            }
-                            if let (Some(&v), Some(fs)) =
-                                (shape_vidx.get(&shape), feats[bi].as_ref())
-                            {
-                                let vf = &fs[v];
-                                self.pruner.observe("kern", &vf.feat, vf.pred, metric);
-                                let e =
-                                    best_measured.entry(v).or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
-                                }
-                            }
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
-                        break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &bound[bi],
-                    };
-                    let (sched, probes) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, None, &ProbeSpec::gemm_shapes());
-                    let sched = self.maybe_elide(sched);
-                    let r = self.sim_run(&sched, rsalt)?;
-                    o = Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        shape_metrics: shape_metrics_of(&probes, &r),
-                    };
-                };
-                if !committed {
-                    stats.quarantined += 1;
-                    for shape in &explored {
-                        tree.poison(&format!("{shape}"));
-                    }
-                    self.journal_quarantine(&qid);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        for shape in &explored {
-            cfg.libs.insert(*shape, libs[best[&format!("{shape}")]]);
-        }
-        Ok(())
-    }
-
-    /// Phase S: stream exploration — parallel across super-epochs, prefix
-    /// across epochs, equivalence-class splits within an epoch.
-    fn explore_streams(
-        &mut self,
-        cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
-        stats: &mut ExploreStats,
-    ) -> Result<Option<Partition>, AstraError> {
-        cfg.num_streams = self.opts.num_streams.max(2);
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let total_flops: f64 = units.iter().map(|u| u.flops).sum();
-        let budget = self.opts.super_epoch_flops.unwrap_or(total_flops / 8.0).max(1.0);
-        let partition = partition_units(&units, budget);
-
-        // Per-epoch choice lists. Epochs with a single choice (one class
-        // member, or one stream) get no adaptive variable and no probe —
-        // their only assignment is applied statically.
-        let mut epoch_opts: BTreeMap<String, Vec<EpochAssignment>> = BTreeMap::new();
-        let mut id_pos: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        let mut fixed_assignment: Vec<(crate::plan::UnitId, usize)> = Vec::new();
-        let mut probed: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
-        let mut se_children = Vec::new();
-        for (sei, se) in partition.super_epochs.iter().enumerate() {
-            let mut epoch_vars = Vec::new();
-            for (ei, epoch) in se.epochs.iter().enumerate() {
-                let choices = epoch_choices(&units, epoch, cfg.num_streams);
-                if choices.len() <= 1 {
-                    fixed_assignment.extend(choices.into_iter().flatten());
-                    continue;
-                }
-                let id = format!("se{sei}.e{ei}");
-                epoch_vars.push(UpdateNode::var(id.clone(), choices.len()));
-                id_pos.insert(id.clone(), (sei, ei));
-                epoch_opts.insert(id, choices);
-                probed.insert((sei, ei));
-            }
-            if !epoch_vars.is_empty() {
-                se_children.push(UpdateNode::group(ExploreMode::Prefix, epoch_vars));
-            }
-        }
-        if se_children.is_empty() {
-            cfg.streams = fixed_assignment.into_iter().collect();
-            return Ok(Some(partition));
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, se_children));
-        let probe_spec = ProbeSpec::epochs(probed);
-
-        // Predictor bookkeeping. Variable indices are positions in
-        // `epoch_opts` iteration order — stable across batches, so the
-        // regret guard's measured minima accumulate per epoch variable.
-        let flops_of: BTreeMap<crate::plan::UnitId, f64> =
-            units.iter().map(|u| (u.id, u.flops)).collect();
-        let id_vidx: BTreeMap<String, usize> =
-            epoch_opts.keys().enumerate().map(|(v, id)| (id.clone(), v)).collect();
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        let apply = |cfg: &mut ExecConfig, asg: &BTreeMap<String, usize>| {
-            cfg.streams.clear();
-            cfg.streams.extend(fixed_assignment.iter().copied());
-            for (id, &choice) in asg {
-                for &(uid, s) in &epoch_opts[id][choice] {
-                    cfg.streams.insert(uid, s);
-                }
-            }
-        };
-
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            epoch_metrics: Vec<((usize, usize), f64)>,
-        }
-
-        loop {
-            // Prefix epochs freeze at their best between exploration steps,
-            // so lookahead batches stop at those metric-dependent
-            // boundaries; super-epochs still explore in parallel inside a
-            // batch.
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    apply(&mut c, asg);
-                    c
-                })
-                .collect();
-
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare in candidate order. Prefix exploration is
-            // where the sim cache pays off most: earlier epochs are frozen
-            // at their best assignment, so every candidate in the batch
-            // shares the schedule prefix up to the epoch under exploration
-            // and resumes a checkpoint captured just before it.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                // A fragmented build keeps unit ids, dependencies, and
-                // order, so the partition and probe spec stay valid.
-                let frag;
-                let units_run: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
-                    }
-                    None => &units,
-                };
-                let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units_run, Some(&partition), &probe_spec);
-                if alloc_fault.is_none() && !self.admit_candidate(c, units_run, &sched) {
-                    stats.quarantined += 1;
-                    prepared.push(None);
-                    continue;
-                }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
-            }
-
-            // Epoch metric: time from super-epoch start to the last kernel
-            // dispatched in any stream up to this epoch (§4.7).
-            let epoch_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<((usize, usize), f64)> {
-                let mut m = Vec::new();
-                for (&(sei, ei), ends) in &probes.epoch_ends {
-                    let Some(&start_ev) = probes.se_starts.get(&sei) else { continue };
-                    let Some(&start) = r.event_ns.get(&start_ev) else { continue };
-                    let end = ends
-                        .iter()
-                        .filter_map(|e| r.event_ns.get(e).copied())
-                        .fold(f64::NAN, f64::max);
-                    if end.is_finite() {
-                        m.push(((sei, ei), (end - start).max(0.0)));
-                    }
-                }
-                m
-            };
-
-            // Active epoch variables: those whose choice varies across this
-            // batch. Frozen (prefix-fixed) epochs carry no features — their
-            // metrics are still committed, but never drive pruning.
-            let active: Vec<&String> = epoch_opts
-                .keys()
-                .filter(|id| {
-                    let first = batch[0][*id];
-                    batch.iter().any(|asg| asg[*id] != first)
-                })
-                .collect();
-            let mut active_vidx: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-            let mut active_slot: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-            for (slot, id) in active.iter().enumerate() {
-                active_vidx.insert(id_pos[*id], id_vidx[*id]);
-                active_slot.insert(id_pos[*id], slot);
-            }
-            let fp_self = self.topo_fp();
+            let active = phase.active(&batch);
             let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
             for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
                 feats.push(p.as_ref().map(|_| {
                     active
                         .iter()
-                        .map(|id| {
-                            let (sei, ei) = id_pos[*id];
-                            let choice = asg[*id];
-                            VarFeat {
-                                var: (*id).clone(),
-                                vidx: id_vidx[*id],
-                                choice,
-                                feat: epoch_features(
-                                    c,
-                                    fp_self,
-                                    sei,
-                                    ei,
-                                    choice,
-                                    &epoch_opts[*id][choice],
-                                    &flops_of,
-                                ),
-                                pred: 0.0,
-                            }
+                        .map(|&v| {
+                            let choice = asg[&vars[v]];
+                            let feat = phase.features(c, fp_self, v, choice);
+                            VarFeat { vidx: v, choice, feat, pred: 0.0 }
                         })
                         .collect()
                 }));
             }
-
-            // Epoch metric floors: the epoch's span floor — the longest
-            // happens-before path from the super-epoch start record to any
-            // of the epoch's per-stream end records under per-command
-            // duration floors (see [`astra_lint::span_floors`]). The
-            // measured metric is a max over those end records, so one
-            // reachable end already bounds it from below.
             let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let mut vidxs = Vec::new();
-                            let mut spans = Vec::new();
-                            for id in &active {
-                                let (sei, ei) = id_pos[*id];
-                                let start = p.probes.se_starts.get(&sei);
-                                let ends = p.probes.epoch_ends.get(&(sei, ei));
-                                let (Some(&start), Some(ends)) = (start, ends) else {
-                                    continue;
-                                };
-                                vidxs.push(id_vidx[*id]);
-                                spans.push((start, ends.as_slice()));
-                            }
-                            let floors =
-                                astra_lint::span_floors(&p.sched, &spans, t, &|_, _| None);
-                            vidxs.into_iter().zip(floors).collect()
-                        })
-                    })
-                    .collect(),
+                Some(t) => {
+                    let floors = |p: &Option<Prepared>| {
+                        p.as_ref().map_or(Vec::new(), |p| phase.floors(p, &active, t))
+                    };
+                    prepared.iter().map(floors).collect()
+                }
                 None => Vec::new(),
             };
 
             let outcomes = self.run_batch_predicted(
-                "epoch",
+                P::KIND,
                 prepared,
                 &mut feats,
                 DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    epoch_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(pos, m)| active_vidx.get(&pos).map(|&v| (v, m)))
-                        .collect()
-                },
+                |probes, r| phase.decode(probes, r),
                 stats,
             )?;
 
             for (bi, outcome) in outcomes.into_iter().enumerate() {
                 let asg = tree.next_trial().expect("lookahead bounds the batch");
                 debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
+                let mut trial = match outcome {
                     BatchOutcome::Invalid => {
-                        // Verify-rejected candidate: poison its choices.
-                        for id in epoch_opts.keys() {
-                            tree.poison(id);
-                        }
+                        poison_all(&mut tree);
                         continue;
                     }
                     BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted epoch metrics for the batch's
-                        // active variables; the regret guard keeps them
-                        // strictly above the measured best.
+                        // Inherit predicted metrics (or proven floors);
+                        // either way every recorded value is strictly above
+                        // the committed measured best.
                         for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
+                            tree.record(&vars[vf.vidx], vf.pred);
                         }
                         continue;
                     }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        epoch_metrics: epoch_metrics_of(&probes, &r),
-                    },
+                    BatchOutcome::Measured(r, probes) => Trial::of(phase, &probes, &r),
                 };
-                let qid = quarantine_id(
-                    "epoch",
-                    active.iter().map(|id| {
-                        let mut key = ProfileKey::entity(format!("epoch:{id}"), asg[*id]);
-                        if let Some(c) = strat_ctx {
-                            key = key.in_context(c.to_owned());
-                        }
-                        if let Some(b) = &self.opts.key_context {
-                            key = key.in_context(b.clone());
-                        }
-                        key
-                    }),
-                );
+                let key_of = |v: usize| phase.key(v, asg[&vars[v]]);
+                let qid = quarantine_id(P::KIND, active.iter().map(|&v| key_of(v)));
                 if self.warm_quarantine.contains(&qid) {
                     stats.quarantined += 1;
-                    for id in epoch_opts.keys() {
-                        tree.poison(id);
-                    }
+                    poison_all(&mut tree);
                     continue;
                 }
+                let salt = salt0 + bi as u64;
                 let mut attempt = 0u32;
                 let committed = loop {
                     stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
+                    stats.exploration_ns += trial.total_ns;
+                    stats.overhead_ns += trial.probe_records as f64 * self.dev.event_record_cost_ns;
+                    if trial.faulted {
                         stats.fault_events += 1;
                     }
-                    // No outlier check here: epoch metrics legitimately vary
-                    // with later-epoch stream assignments (processor
-                    // sharing), so only a reported fault marks a suspect.
-                    if !o.faulted {
-                        for ((sei, ei), metric) in o.epoch_metrics {
-                            let id = format!("se{sei}.e{ei}");
-                            tree.record(&id, metric);
-                            let mut key = ProfileKey::entity(format!("epoch:{id}"), asg[&id]);
-                            if let Some(c) = strat_ctx {
-                                key = key.in_context(c.to_owned());
-                            }
-                            if let Some(b) = &self.opts.key_context {
-                                key = key.in_context(b.clone());
-                            }
-                            self.commit_sample(&key, metric);
-                            if let (Some(&slot), Some(fs)) =
-                                (active_slot.get(&(sei, ei)), feats[bi].as_ref())
-                            {
-                                let vf = &fs[slot];
-                                self.pruner.observe("epoch", &vf.feat, vf.pred, metric);
-                                let e = best_measured
-                                    .entry(vf.vidx)
-                                    .or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
+                    let suspect = trial.faulted
+                        || (P::OUTLIER_TEST
+                            && trial
+                                .metrics
+                                .iter()
+                                .any(|&(v, m)| is_outlier(&self.index, &key_of(v), m)));
+                    if !suspect {
+                        let fs = feats[bi].as_deref().unwrap_or_default();
+                        for &(v, metric) in &trial.metrics {
+                            tree.record(&vars[v], metric);
+                            self.commit_sample(&key_of(v), metric);
+                            match fs.iter().find(|vf| vf.vidx == v) {
+                                Some(vf) => self.pruner.observe(P::KIND, &vf.feat, vf.pred, metric),
+                                None if P::TRAIN_FROZEN && self.opts.predictor => {
+                                    let choice = asg[&vars[v]];
+                                    let f = phase.features(&cfgs[bi], fp_self, v, choice);
+                                    self.pruner.observe(P::KIND, &f, 0.0, metric);
                                 }
-                            } else if self.opts.predictor {
-                                // Frozen epochs train the model too — their
-                                // metrics are committed anyway, and the extra
-                                // samples warm the epoch model much faster
-                                // than the few actively-varying trials would.
-                                let choice = asg[&id];
-                                let f = epoch_features(
-                                    &cfgs[bi],
-                                    fp_self,
-                                    sei,
-                                    ei,
-                                    choice,
-                                    &epoch_opts[&id][choice],
-                                    &flops_of,
-                                );
-                                self.pruner.observe("epoch", &f, 0.0, metric);
+                                None => {}
                             }
                         }
+                        fold_best(&mut best_measured, &feats, bi, &trial.metrics);
                         break true;
                     }
                     if attempt >= MAX_FAULT_RETRIES {
@@ -2787,38 +1744,30 @@ impl<'g> Astra<'g> {
                     attempt += 1;
                     stats.retries += 1;
                     let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &units,
+                    let alloc_fault = self.opts.faults.alloc_event(rsalt);
+                    let Some(units) = self.attempt_units(&cfgs[bi], &clean[bi], alloc_fault) else {
+                        break false;
                     };
-                    let (sched, probes) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, Some(&partition), &probe_spec);
-                    let sched = self.maybe_elide(sched);
+                    let (sched, probes) = emit_schedule(
+                        &self.ctx,
+                        &cfgs[bi],
+                        &units,
+                        phase.partition(),
+                        phase.probe_spec(),
+                    );
                     let r = self.sim_run(&sched, rsalt)?;
-                    o = Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        epoch_metrics: epoch_metrics_of(&probes, &r),
-                    };
+                    trial = Trial::of(phase, &probes, &r);
                 };
                 if !committed {
                     stats.quarantined += 1;
-                    for id in epoch_opts.keys() {
-                        tree.poison(id);
-                    }
+                    poison_all(&mut tree);
                     self.journal_quarantine(&qid);
                 }
             }
         }
 
-        let best = tree.best_assignment();
-        apply(cfg, &best);
-        Ok(Some(partition))
+        *cfg = phase.cfg_for(cfg, &tree.best_assignment());
+        Ok(())
     }
 }
 
@@ -2996,34 +1945,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_elision_is_cost_invariant_and_counted() {
-        let built = tiny(Model::SubLstm);
-        let dev = DeviceSpec::p100();
-        let base = Astra::new(
-            &built.graph,
-            &dev,
-            AstraOptions { dims: Dims::fks(), ..Default::default() },
-        )
-        .optimize()
-        .expect("baseline optimization");
-        let elided = Astra::new(
-            &built.graph,
-            &dev,
-            AstraOptions { dims: Dims::fks(), elide_syncs: true, ..Default::default() },
-        )
-        .optimize()
-        .expect("elided optimization");
-        assert_eq!(base.syncs_elided, 0, "elision off must count nothing");
-        assert!(elided.syncs_elided > 0, "multi-stream schedules carry redundant waits");
-        assert_eq!(
-            elided.steady_ns, base.steady_ns,
-            "elision must keep the simulated cost bit-identical"
-        );
-        assert_eq!(elided.best, base.best, "elision must not change the winning plan");
-        assert_eq!(elided.verify_rejects, 0, "elided schedules stay verify-clean");
-    }
-
-    #[test]
     fn bound_pruning_preserves_the_final_plan() {
         let built = tiny(Model::MiLstm);
         let dev = DeviceSpec::p100();
@@ -3108,8 +2029,46 @@ mod tests {
         let mut astra = Astra::new(&built.graph, &dev, AstraOptions::default());
         let r = astra.optimize().expect("optimization succeeds");
         assert_eq!(r.lint_rejects, 0, "zoo-sized plans fit comfortably");
-        assert_eq!(r.syncs_elided, 0, "elision is off by default");
         assert_eq!(r.bound_pruned, 0, "bound pruning is off by default");
+    }
+
+    #[test]
+    fn forged_full_run_memos_re_simulate_cold() {
+        // Every full-run memo of a clean run, corrupted so it cannot belong
+        // to the schedule it is keyed under (a stand-in for a prefix-hash
+        // collision or a corrupt persisted memo), then seeded into a fresh
+        // optimizer: every replay must fall back to a cold simulation and
+        // the run must land on the reference plan.
+        let built = tiny(Model::SubLstm);
+        let dev = DeviceSpec::p100();
+        let opts = AstraOptions { dims: Dims::fk(), ..Default::default() };
+        let reference =
+            Astra::new(&built.graph, &dev, opts.clone()).optimize().expect("reference run");
+        let dir = std::env::temp_dir().join(format!("astra-forged-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journaling = AstraOptions { store_dir: Some(dir.clone()), ..opts.clone() };
+        Astra::new(&built.graph, &dev, journaling).optimize().expect("journaling run");
+        let (_, warm) = DriverStore::open(&dir, &StoreOptions::default()).expect("store opens");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!warm.memos.is_empty(), "a clean run journals full-run memos");
+
+        let mut forged = Astra::new(&built.graph, &dev, opts);
+        for (i, (key, ck)) in warm.memos.into_iter().enumerate() {
+            let mut parts = ck.export_memo().expect("persisted memos are full-run memos");
+            if i % 2 == 0 {
+                // A span naming a command past the end of the schedule.
+                parts.result.spans[0].cmd_idx = parts.cmd_idx;
+            } else {
+                // An event no command of the schedule records.
+                parts.result.event_ns.insert(astra_gpu::EventId(u32::MAX), 0.0);
+            }
+            forged.sim_cache.seed(key, Arc::new(EngineCheckpoint::from_memo(parts)));
+        }
+        let r = forged.optimize().expect("forged memos must not fail the run");
+        assert!(r.sim_cache_hits > 0, "the forged memos must be probed");
+        assert_eq!(r.best, reference.best);
+        assert_eq!(r.steady_ns.to_bits(), reference.steady_ns.to_bits());
+        assert_eq!(r.configs_explored, reference.configs_explored);
     }
 
     #[test]

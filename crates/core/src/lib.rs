@@ -66,6 +66,7 @@ pub mod enumerate;
 mod error;
 mod parallel;
 mod persist;
+mod phase;
 mod plan;
 mod predictor;
 mod profile;

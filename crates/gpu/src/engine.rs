@@ -463,6 +463,50 @@ impl EngineCheckpoint {
     }
 }
 
+/// Checks that a full-run memo's `result` can belong to `schedule`: every
+/// span names an in-range span-producing command (a launch, transfer or
+/// all-reduce) on the span's own stream, and every fired event is one the
+/// schedule records.
+fn validate_memo(schedule: &Schedule, result: &RunResult) -> Result<(), GpuError> {
+    let cmds = schedule.cmds();
+    for sp in &result.spans {
+        let stream = match cmds.get(sp.cmd_idx) {
+            Some(
+                Cmd::Launch { stream, .. }
+                | Cmd::Transfer { stream, .. }
+                | Cmd::AllReduce { stream, .. },
+            ) => *stream,
+            _ => {
+                return Err(GpuError::InvalidSchedule(format!(
+                    "memo span names command {}, which produces no span",
+                    sp.cmd_idx
+                )))
+            }
+        };
+        if stream != sp.stream {
+            return Err(GpuError::InvalidSchedule(format!(
+                "memo span of command {} ran on stream {}, the command is on {}",
+                sp.cmd_idx, sp.stream.0, stream.0
+            )));
+        }
+    }
+    let mut recorded: Vec<EventId> = cmds
+        .iter()
+        .filter_map(|c| match c {
+            Cmd::Record { event, .. } => Some(*event),
+            _ => None,
+        })
+        .collect();
+    recorded.sort_unstable();
+    if let Some(ev) = result.event_ns.keys().find(|ev| recorded.binary_search(ev).is_err()) {
+        return Err(GpuError::InvalidSchedule(format!(
+            "memo fired event {}, which the schedule never records",
+            ev.0
+        )));
+    }
+    Ok(())
+}
+
 /// The persistable payload of a finished-run [`EngineCheckpoint`]: every
 /// field a resume can read, as plain owned data with public fields, so a
 /// storage layer can encode it without this crate knowing the codec.
@@ -642,7 +686,11 @@ impl<'a> Engine<'a> {
                 )));
             }
             if ck.cmd_idx == cmds.len() {
-                // Full-run memo: the stored result IS the run.
+                // Full-run memo: the stored result IS the run — once it is
+                // shown to describe this schedule (a prefix-hash collision
+                // or a corrupt persisted memo would otherwise replay some
+                // other run's spans and events).
+                validate_memo(schedule, &ck.result)?;
                 return Ok((ck.result.clone(), Vec::new()));
             }
         }
@@ -2025,6 +2073,63 @@ mod tests {
         }
         // The genuine prefix still resumes.
         assert!(resume_on(&same, 4).is_ok());
+    }
+
+    #[test]
+    fn full_run_memos_replay_only_onto_their_own_schedule() {
+        let dev = DeviceSpec::p100();
+        let s = segmented_schedule();
+        let end = s.cmds().len();
+        let (ran, cks) = Engine::new(&dev).run_incremental(&s, None, &[end]).unwrap();
+        let memo = cks.last().expect("the final boundary is captured");
+        assert_eq!(memo.cmd_idx(), end);
+        let (replayed, _) = Engine::new(&dev).run_incremental(&s, Some(memo), &[]).unwrap();
+        assert_eq!(replayed, ran, "the genuine schedule replays its memo verbatim");
+        // Same-length schedules that differ from `s` in one place: 0 records
+        // where `s` launches, 1 launches its first kernel on the other
+        // stream, 2 syncs through the host instead of recording an event.
+        let variant = |v: u8| {
+            let k = |m| gemm(GemmShape::new(m, 256, 256));
+            let mut o = Schedule::new(2);
+            for i in 0..10 {
+                match (v, i) {
+                    (0, 0) => {
+                        o.record(StreamId(0));
+                    }
+                    (1, 0) => {
+                        o.launch(StreamId(1), k(64));
+                    }
+                    _ => {
+                        o.launch(StreamId(i % 2), k(64));
+                    }
+                }
+                o.mark_boundary();
+            }
+            if v == 2 {
+                o.host_sync();
+                o.launch(StreamId(1), k(64));
+            } else {
+                let ev = o.record(StreamId(0));
+                o.launch_after(StreamId(1), k(64), vec![ev]);
+            }
+            o.mark_boundary();
+            o.barrier();
+            for i in 0..4 {
+                o.launch(StreamId(i % 2), k(128));
+                o.mark_boundary();
+            }
+            o
+        };
+        for v in 0..3 {
+            // Simulates a prefix-hash collision: the memo claims the final
+            // boundary of a schedule it was never captured on.
+            let other = variant(v);
+            assert_eq!(other.cmds().len(), end);
+            let mut forged = memo.clone();
+            forged.prefix_hash = other.boundary_hash(end).expect("final boundary");
+            let err = Engine::new(&dev).run_incremental(&other, Some(&forged), &[]).unwrap_err();
+            assert!(matches!(err, GpuError::InvalidSchedule(_)), "variant {v}: {err}");
+        }
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!    advisory.
 //! 2. **Redundant-sync detection** — an event wait whose ordering is already
 //!    implied by the rest of the happens-before graph (a transitively
-//!    reducible edge) is reported as `lint-redundant-sync`, and
-//!    [`elide_redundant_syncs`] rewrites the schedule without it. The
-//!    rewrite is reachability-preserving (so it stays verify-clean) and
-//!    keeps at least one wait per non-empty wait list (so the engine's
-//!    per-command sync penalty — charged once for any non-empty list — is
-//!    unchanged and the simulated cost stays bit-identical).
+//!    reducible edge) is reported as `lint-redundant-sync`. The reported
+//!    set is removable as a whole without changing reachability, and
+//!    always leaves a non-empty wait list at least one wait (the engine
+//!    charges its per-command sync penalty once for any non-empty list),
+//!    so each finding is pure schedule overhead.
 //! 3. **Critical-path lower bounds** — [`critical_path_floor`] propagates
 //!    sound per-command duration floors (solo kernel cost plus launch
 //!    overhead, link latency and bandwidth floors for transfers, ring
@@ -60,7 +59,6 @@ mod mem;
 mod sync;
 
 pub use floor::{critical_path_floor, region_floors, span_floors};
-pub use sync::elide_redundant_syncs;
 
 use astra_gpu::{BufId, Cmd, Schedule, Topology};
 use astra_verify::{AccessTable, Diagnostic, RuleId, VerifyReport};
@@ -96,8 +94,7 @@ pub struct LintReport {
     /// rendering occupancy.
     pub mem_bytes: Vec<u64>,
     /// Redundant event waits as `(command index, wait-list position)`
-    /// pairs, in dispatch order — exactly the waits
-    /// [`elide_redundant_syncs`] removes.
+    /// pairs, in dispatch order.
     pub redundant_waits: Vec<(usize, usize)>,
     /// Sound lower bound on the schedule's simulated wall-clock (ns).
     pub critical_path_floor_ns: f64,

@@ -1,21 +1,21 @@
-//! Redundant-sync detection and elision via transitive reduction of the
+//! Redundant-sync detection via transitive reduction of the
 //! happens-before graph.
 //!
 //! A wait edge `record → waiter` is *redundant* when some other path
 //! already orders the pair: then removing the wait cannot change
-//! reachability. Removing any set of transitively-implied edges at once is
-//! sound — every removed edge is justified by a path whose own edges span
-//! strictly fewer topological positions, so by induction on span the kept
+//! reachability. The reported set is removable as a whole — every
+//! reported edge is justified by a path whose own edges span strictly
+//! fewer topological positions, so by induction on span the unreported
 //! edges alone reproduce the relation (and span-adjacent edges are never
-//! removable). Two waits can therefore never justify each other in a
+//! reported). Two waits can therefore never justify each other in a
 //! cycle.
 //!
-//! Cost bit-identity: the engine charges one cross-stream sync penalty per
-//! command with a *non-empty* wait list, and a redundant wait's event has
-//! always fired by the time the command reaches its stream head — so
-//! removing redundant entries (while keeping one wait whenever every entry
-//! of a list is redundant) leaves every issue time, and hence the whole
-//! simulated timeline, bit-identical.
+//! The engine charges one cross-stream sync penalty per command with a
+//! *non-empty* wait list, and a redundant wait's event has always fired by
+//! the time the command reaches its stream head. So removing the reported
+//! waits — the first entry of a fully redundant list is never reported —
+//! would leave the simulated timeline bit-identical: the findings are
+//! pure schedule overhead.
 
 use std::collections::HashMap;
 
@@ -30,12 +30,13 @@ struct InEdge {
     wait: Option<EventId>,
 }
 
-/// Finds every elidable wait as `(command index, wait-list position)`,
+/// Finds every redundant wait as `(command index, wait-list position)`,
 /// in dispatch order. Duplicate occurrences of one event in a wait list
-/// are elidable past the first; a wait is otherwise elidable when its
+/// are redundant past the first; a wait is otherwise redundant when its
 /// (unique) record is a non-wait in-neighbor of the command or reaches
-/// another in-neighbor. When *every* entry of a list is elidable the first
-/// is kept, preserving the engine's non-empty-list sync penalty.
+/// another in-neighbor. When *every* entry of a list is redundant the
+/// first is not reported, preserving the engine's non-empty-list sync
+/// penalty.
 pub(crate) fn find_redundant(sched: &Schedule, workers: usize) -> Vec<(usize, usize)> {
     let hb = HbGraph::build(sched);
     if hb.is_cyclic() {
@@ -92,7 +93,7 @@ pub(crate) fn find_redundant(sched: &Schedule, workers: usize) -> Vec<(usize, us
     })
 }
 
-/// Appends command `i`'s elidable wait positions to `out`.
+/// Appends command `i`'s redundant wait positions to `out`.
 fn scan_cmd(
     sched: &Schedule,
     hb: &HbGraph,
@@ -105,10 +106,10 @@ fn scan_cmd(
         Cmd::Launch { waits, .. } | Cmd::Transfer { waits, .. } => waits,
         _ => return,
     };
-    let mut elide = vec![false; waits.len()];
+    let mut redundant = vec![false; waits.len()];
     for (p, w) in waits.iter().enumerate() {
         if waits[..p].contains(w) {
-            elide[p] = true; // duplicate occurrence adds nothing
+            redundant[p] = true; // duplicate occurrence adds nothing
             continue;
         }
         // Only a uniquely-recorded event has an unambiguous source; waits
@@ -128,13 +129,13 @@ fn scan_cmd(
             }
         });
         if implied {
-            elide[p] = true;
+            redundant[p] = true;
         }
     }
-    if elide.iter().all(|&e| e) {
-        elide[0] = false; // keep one wait: the sync penalty must survive
+    if redundant.iter().all(|&e| e) {
+        redundant[0] = false; // keep one wait: the sync penalty must survive
     }
-    for (p, e) in elide.into_iter().enumerate() {
+    for (p, e) in redundant.into_iter().enumerate() {
         if e {
             out.push((i, p));
         }
@@ -162,66 +163,6 @@ pub(crate) fn wait_source(sched: &Schedule, cmd: usize, pos: usize) -> (EventId,
     (w, record)
 }
 
-/// Rewrites `sched` without its redundant event waits (see
-/// `find_redundant` for the soundness rules — reachability is preserved
-/// exactly and every non-empty wait list stays non-empty). Returns the
-/// rewritten schedule and the number of waits removed; zero removals
-/// still returns a full (identical) rebuild.
-///
-/// Everything else — command order, streams, kernels, labels, tags,
-/// boundaries, the device map — is replayed verbatim, so event ids
-/// renumber identically and the schedule is interchangeable with the
-/// original everywhere but its prefix hash.
-pub fn elide_redundant_syncs(sched: &Schedule) -> (Schedule, usize) {
-    let drop: std::collections::HashSet<(usize, usize)> =
-        find_redundant(sched, 1).into_iter().collect();
-    let mut out = Schedule::with_devices(sched.num_streams(), sched.stream_devices().to_vec());
-    let mut boundaries = sched.boundaries().iter().map(|&(at, _)| at).peekable();
-    for (i, cmd) in sched.cmds().iter().enumerate() {
-        while boundaries.next_if(|&at| at == i).is_some() {
-            out.mark_boundary();
-        }
-        let keep = |waits: &[EventId]| -> Vec<EventId> {
-            waits
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| !drop.contains(&(i, p)))
-                .map(|(_, &w)| w)
-                .collect()
-        };
-        match cmd {
-            Cmd::Launch { stream, kernel, waits, label } => match label {
-                Some(l) => {
-                    out.launch_labeled(*stream, *kernel, keep(waits), l.clone());
-                }
-                None => {
-                    out.launch_after(*stream, *kernel, keep(waits));
-                }
-            },
-            Cmd::Record { stream, event } => {
-                let ev = out.record(*stream);
-                debug_assert_eq!(ev, *event, "records must renumber identically");
-            }
-            Cmd::Barrier => out.barrier(),
-            Cmd::HostSync => out.host_sync(),
-            Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                out.transfer(*stream, *bytes, *src, *dst, keep(waits));
-            }
-            Cmd::AllReduce { stream, bytes, group } => {
-                out.all_reduce(*stream, *bytes, *group);
-            }
-        }
-        if let Some(t) = sched.tags()[i] {
-            let last = out.cmds().len() - 1;
-            out.set_tag(last, t);
-        }
-    }
-    while boundaries.next().is_some() {
-        out.mark_boundary();
-    }
-    (out, drop.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_implied_by_stream_order_is_elided() {
+    fn wait_implied_by_stream_order_is_redundant() {
         // The same-stream wait is covered by FIFO order; the cross-stream
         // one is load-bearing and keeps the list non-empty.
         let mut s = Schedule::new(2);
@@ -242,12 +183,7 @@ mod tests {
         let e_cross = s.record(StreamId(1));
         let w = s.launch_after(StreamId(0), copy(), vec![e_same, e_cross]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 0)]);
-        let (elided, n) = elide_redundant_syncs(&s);
-        assert_eq!(n, 1);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e_cross]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(wait_source(&s, w, 0), (e_same, 1));
     }
 
     #[test]
@@ -257,12 +193,10 @@ mod tests {
         let e = s.record(StreamId(0));
         s.launch_after(StreamId(0), copy(), vec![e]);
         assert!(find_redundant(&s, 1).is_empty());
-        let (_, n) = elide_redundant_syncs(&s);
-        assert_eq!(n, 0);
     }
 
     #[test]
-    fn wait_implied_by_another_wait_is_elided_once() {
+    fn wait_implied_by_another_wait_is_reported_once() {
         // e0 recorded before e1 on stream 0; a stream-1 launch waiting on
         // both needs only e1.
         let mut s = Schedule::new(2);
@@ -272,12 +206,7 @@ mod tests {
         let e1 = s.record(StreamId(0));
         let w = s.launch_after(StreamId(1), copy(), vec![e0, e1]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 0)]);
-        let (elided, n) = elide_redundant_syncs(&s);
-        assert_eq!(n, 1);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e1]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(wait_source(&s, w, 0), (e0, 1));
     }
 
     #[test]
@@ -287,10 +216,6 @@ mod tests {
         let e = s.record(StreamId(0));
         s.launch_after(StreamId(1), copy(), vec![e]);
         assert!(find_redundant(&s, 1).is_empty());
-        let (elided, n) = elide_redundant_syncs(&s);
-        assert_eq!(n, 0);
-        assert_eq!(elided.render(), s.render());
-        assert_eq!(elided.prefix_hash(), s.prefix_hash());
     }
 
     #[test]
@@ -305,11 +230,7 @@ mod tests {
         s.barrier();
         let w = s.launch_after(StreamId(0), copy(), vec![e0, e1]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 1)]);
-        let (elided, _) = elide_redundant_syncs(&s);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(wait_source(&s, w, 1), (e1, 3));
     }
 
     #[test]
@@ -342,23 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn elision_preserves_metadata() {
+    fn cross_device_transfer_wait_is_not_redundant() {
         let mut s = Schedule::with_devices(2, vec![0, 1]);
-        let a = s.launch_labeled(StreamId(0), copy(), vec![], "producer");
-        s.set_tag(a, 7);
+        s.launch_labeled(StreamId(0), copy(), vec![], "producer");
         let e = s.record(StreamId(0));
         s.mark_boundary();
-        let t = s.transfer(StreamId(1), 64, 0, 1, vec![e]);
-        s.set_tag(t, 9);
+        s.transfer(StreamId(1), 64, 0, 1, vec![e]);
         s.all_reduce(StreamId(1), 128, 0);
-        let (elided, n) = elide_redundant_syncs(&s);
-        assert_eq!(n, 0);
-        assert_eq!(elided.render(), s.render());
-        assert_eq!(elided.tags(), s.tags());
-        assert_eq!(
-            elided.boundaries().iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            s.boundaries().iter().map(|&(i, _)| i).collect::<Vec<_>>()
-        );
-        assert_eq!(elided.stream_devices(), s.stream_devices());
+        assert!(find_redundant(&s, 1).is_empty());
     }
 }

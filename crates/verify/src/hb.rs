@@ -37,7 +37,7 @@ pub struct HbGraph {
 }
 
 /// Why one happens-before edge exists. Consumers that must treat event
-/// waits specially (redundant-sync detection elides exactly the
+/// waits specially (redundant-sync detection reports exactly the
 /// [`HbEdge::Wait`] edges that other edges already imply) get the kind
 /// alongside each edge from [`happens_before_edges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use astra::core::{Astra, AstraOptions, Dims, Report};
-use astra::gpu::{DeviceSpec, FaultPlan};
+use astra::gpu::{DeviceSpec, FaultPlan, LinkDesc, Topology};
 use astra::models::{Model, ModelConfig};
 use astra::store;
 
@@ -312,6 +312,47 @@ fn persisted_quarantine_marks_skip_the_retry_budget_under_the_same_faults() {
     let clean_warm = run(&built, &RunSpec::stored(&dir, 1));
     assert_same_plan(&clean_ref, &clean_warm, "clean run over a faulted store");
     assert_eq!(clean_warm.quarantined, 0, "fault-scoped marks must not leak into clean runs");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn persisted_placement_quarantine_marks_skip_the_retry_budget() {
+    // Placement is the only dimension under exploration on a two-device
+    // node, so every quarantine mark this run earns is a placement mark.
+    // Seed 120 exhausts the retry budget of one placement candidate.
+    let built = tiny();
+    let topo = Topology::homogeneous(DeviceSpec::p100(), 2, LinkDesc::nvlink());
+    let dir = tmpdir("place-quarantine");
+    let run_on_node = |dir: Option<&Path>| {
+        let opts = AstraOptions {
+            dims: Dims { fusion: false, kernel: false, streams: false, alloc: false },
+            workers: 1,
+            faults: FaultPlan::chaos(120),
+            store_dir: dir.map(Path::to_path_buf),
+            ..Default::default()
+        };
+        let mut astra = Astra::with_topology(&built.graph, &topo, opts);
+        let report = astra.optimize().expect("optimize completes");
+        assert!(astra.store_error().is_none(), "store degraded: {:?}", astra.store_error());
+        report
+    };
+
+    let reference = run_on_node(None);
+    let cold = run_on_node(Some(&dir));
+    assert_same_plan(&reference, &cold, "faulted cold placement run vs storeless");
+    assert!(cold.placements_explored > 1, "the node must offer placements to explore");
+    assert!(cold.quarantined > 0, "chaos must quarantine a placement or this test is vacuous");
+
+    let warm = run_on_node(Some(&dir));
+    assert_same_plan(&reference, &warm, "faulted warm placement run vs storeless");
+    assert!(warm.quarantined >= cold.quarantined, "marks still counted as quarantined");
+    assert!(
+        warm.retries < cold.retries,
+        "persisted placement marks must skip re-probing (warm {} vs cold {} retries)",
+        warm.retries,
+        cold.retries
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
